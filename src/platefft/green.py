@@ -26,11 +26,12 @@ radius.  Band-limited fields never touch those rows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mandel import SQRT2, SymTensor2, mandel_size, spatial_dim
+from .mandel import SQRT2, SymTensor2, mandel_size, spatial_dim, sym_to_mandel
 
 
 def green_fourier_coefficient(n) -> float:
@@ -67,23 +68,6 @@ def green_evaluate(y, cutoff: int) -> float:
     return float(total.real)
 
 
-def _mandel_nn(n, d: int) -> np.ndarray:
-    """Mandel vector of n (x) n for an integer frequency vector."""
-    n = np.asarray(n, dtype=float)
-    if d == 2:
-        return np.array([n[0] ** 2, n[1] ** 2, SQRT2 * n[0] * n[1]])
-    return np.array(
-        [
-            n[0] ** 2,
-            n[1] ** 2,
-            n[2] ** 2,
-            SQRT2 * n[1] * n[2],
-            SQRT2 * n[0] * n[2],
-            SQRT2 * n[0] * n[1],
-        ]
-    )
-
-
 def gamma_symbol(n, lambda0: float) -> np.ndarray:
     """Green-operator symbol at one integer frequency, as an m x m matrix.
 
@@ -94,18 +78,20 @@ def gamma_symbol(n, lambda0: float) -> np.ndarray:
     if lambda0 <= 0:
         raise ValueError(f"reference coefficient must be positive, got {lambda0}")
     n = np.asarray(n, dtype=float)
-    d = n.shape[0]
-    m = mandel_size(d)
+    m = mandel_size(n.shape[0])
     norm4 = float((n @ n) ** 2)
     if norm4 == 0.0:
         return np.zeros((m, m))
-    nn = _mandel_nn(n, d)
+    nn = sym_to_mandel(np.outer(n, n))
     return -np.outer(nn, nn) / (lambda0 * norm4)
 
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Integer DFT frequencies for an N^d grid, with cached symbol arrays."""
+    """Integer DFT frequencies for an N^d grid, with cached symbol arrays.
+
+    inv_norm4 is 1/|n|^4 on the active modes and 0 on the inactive ones.
+    """
 
     d: int
     n: int
@@ -124,21 +110,16 @@ class FrequencyGrid:
         if self.n % 2 == 0:
             nyquist = (n1 == -self.n // 2) | (n2 == -self.n // 2)
         active = (norm4 > 0) & ~nyquist
+        inv_norm4 = np.zeros_like(norm4)
+        inv_norm4[active] = 1.0 / norm4[active]
         for name, arr in (
             ("components", (n1, n2)),
             ("mandel_nn", nn),
             ("norm4", norm4),
-            ("nyquist_mask", nyquist),
             ("active_mask", active),
+            ("inv_norm4", inv_norm4),
         ):
             object.__setattr__(self, name, arr)
-
-    @property
-    def count(self) -> int:
-        return self.n**self.d
-
-    def frequency(self, *index: int) -> np.ndarray:
-        return np.array([int(c[index]) for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -173,10 +154,6 @@ class SpectralField:
     def n(self) -> int:
         return self.coeffs.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.coeffs.shape[-1]
-
     def to_real(self) -> np.ndarray:
         return np.real(np.fft.ifftn(self.coeffs, axes=tuple(range(self.d))))
 
@@ -191,12 +168,6 @@ class SpectralField:
         scale = max(float(np.abs(back).max()), 1e-300)
         return float(np.abs(back.imag).max() / scale)
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.coeffs - other.coeffs)
-
 
 def l2_inner(a: SpectralField, b: SpectralField) -> float:
     """L2(Y') inner product <a : b> of two real fields via the Parseval sum."""
@@ -206,6 +177,12 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
     return float(total.real) / a.n ** (2 * a.d)
 
 
+def _gamma_multiply(coeffs: np.ndarray, nn: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The Green-operator symbol per mode, with scale = -1/(lam0 |n|^4) or 0 if inactive."""
+    s = (nn * coeffs).sum(axis=-1)
+    return nn * (s * scale)[..., None]
+
+
 def apply_gamma_coeffs(p_hat: np.ndarray, grid: FrequencyGrid, lambda0: float) -> np.ndarray:
     """Multiply coefficient array (N,N,m) by the Green-operator symbol.
 
@@ -213,10 +190,7 @@ def apply_gamma_coeffs(p_hat: np.ndarray, grid: FrequencyGrid, lambda0: float) -
     """
     if lambda0 <= 0:
         raise ValueError(f"reference coefficient must be positive, got {lambda0}")
-    nn = grid.mandel_nn
-    scale = np.where(grid.active_mask, 1.0 / (lambda0 * np.where(grid.norm4 == 0, 1.0, grid.norm4)), 0.0)
-    s = (nn * p_hat).sum(axis=-1)
-    return -nn * (s * scale)[..., None]
+    return _gamma_multiply(p_hat, grid.mandel_nn, grid.inv_norm4 * (-1.0 / lambda0))
 
 
 def gamma_apply(field: SpectralField, lambda0: float) -> SpectralField:
@@ -227,6 +201,48 @@ def gamma_apply(field: SpectralField, lambda0: float) -> SpectralField:
     """
     grid = FrequencyGrid(field.d, field.n)
     return SpectralField(apply_gamma_coeffs(field.coeffs, grid, lambda0))
+
+
+class GreenOperator:
+    """The Green operator of one reference lam0, acting on real N x N fields.
+
+    It works on the rfftn half spectrum, shape (N, N//2 + 1, m): column j holds
+    n2 = j, and n2 = -j is left implicit as its conjugate.  On even grids the last
+    column is the Nyquist column (+N/2 here, -N/2 in fftn), inactive either way.
+    """
+
+    def __init__(self, grid: FrequencyGrid, lambda0: float):
+        if lambda0 <= 0:
+            raise ValueError(f"reference coefficient must be positive, got {lambda0}")
+        self.n = grid.n
+        half = np.s_[:, : grid.n // 2 + 1]
+        self.nn = np.ascontiguousarray(grid.mandel_nn[half])
+        self.scale = grid.inv_norm4[half] * (-1.0 / lambda0)
+        # Parseval multiplicity of the active modes: 1 in the columns that hold
+        # their own conjugates (column 0; column N/2 of even grids), 2 elsewhere
+        col = np.arange(grid.n // 2 + 1)
+        self.weights = np.where((col == 0) | (2 * col == grid.n), 1.0, 2.0) * grid.active_mask[half]
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of a real (N, N, m) field."""
+        return np.fft.rfftn(values, axes=(0, 1))
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real (N, N, m) field with the given half spectrum."""
+        return np.fft.irfftn(coeffs, s=(self.n, self.n), axes=(0, 1))
+
+    def apply(self, coeffs: np.ndarray) -> np.ndarray:
+        """Half spectrum of Gamma * P, from the half spectrum of P."""
+        return _gamma_multiply(coeffs, self.nn, self.scale)
+
+    def equilibrium_residual(self, j_hat: np.ndarray) -> float:
+        """sqrt(sum over active n of |n.J_hat.n|^2) / |J_hat(0)|, from the half spectrum of J."""
+        s = (self.nn * j_hat).sum(axis=-1)
+        num = math.sqrt(float((self.weights * (s.real**2 + s.imag**2)).sum()))
+        den = float(np.linalg.norm(j_hat[0, 0]))
+        if den == 0.0:
+            return 0.0 if num == 0.0 else math.inf
+        return num / den
 
 
 def weyl_decompose(field: SpectralField) -> tuple[SpectralField, SpectralField, SymTensor2]:
@@ -244,14 +260,9 @@ def weyl_decompose(field: SpectralField) -> tuple[SpectralField, SpectralField, 
     pot = nn * (s / norm4)[..., None]
     zero = (0,) * field.d
     pot[zero] = 0.0
-    mean_vec = field.coeffs[zero].copy()
     sol = field.coeffs - pot
     sol[zero] = 0.0
-    return (
-        SpectralField(pot),
-        SpectralField(sol),
-        SymTensor2(np.real(mean_vec) / field.n**field.d),
-    )
+    return SpectralField(pot), SpectralField(sol), field.mean()
 
 
 @dataclass(frozen=True)
@@ -263,10 +274,6 @@ class SkewPotential:
     """
 
     coeffs: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.coeffs.shape[-1]
 
     @property
     def n(self) -> int:

@@ -106,11 +106,9 @@ class CoefficientField:
 
     def mandel_grid(self) -> np.ndarray:
         """Per-voxel Mandel matrices, shape (N,)*d + (m, m)."""
-        ids = sorted(self.table.phases)
-        lookup = {pid: k for k, pid in enumerate(ids)}
+        ids = np.array(sorted(self.table.phases))
         mats = np.stack([self.table.phases[pid].mandel_matrix for pid in ids])
-        index = np.vectorize(lookup.get, otypes=[int])(self.phase_map)
-        return mats[index]
+        return mats[np.searchsorted(ids, self.phase_map)]
 
     def eigen_range(self) -> tuple[float, float]:
         """(mu_min, mu_max) over all voxels and all Mandel eigenvalues."""
@@ -237,8 +235,8 @@ def load_microstructure(path) -> CoefficientField:
         d, n, n_phases = int(header[1]), int(header[3]), int(header[5])
     except ValueError as exc:
         raise MicrostructureFormatError(f"non-integer size header: {exc}") from None
-    if d not in (2, 3):
-        raise MicrostructureFormatError(f"unsupported dimension d={d}")
+    if d != 2:
+        raise MicrostructureFormatError(f"unsupported dimension d={d}; platefft is two-dimensional")
     m = mandel_size(d)
     n_tri = m * (m + 1) // 2
     phases: dict[int, StiffTensor4] = {}

@@ -15,6 +15,10 @@ of D*(C:E) = 0:
 
 with J = C:E and the sum restricted to unambiguous frequencies (on even grids
 the Nyquist rows are excluded, matching the modes the grid operator resolves).
+
+An iteration costs two real FFTs (rfftn of p = dC:E, irfftn of Gamma's output).
+As C:E = p + lam0 Tr(E) I, the residual is taken from J_hat = p_hat + lam0 Tr(E_hat) I,
+reusing the p_hat that the next iteration needs anyway; dC is the only coefficient grid.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .green import FrequencyGrid, apply_gamma_coeffs
+from .green import FrequencyGrid, GreenOperator
 from .mandel import SymTensor2, mandel_size, trace_dyad
 from .microstructure import CoefficientField
 
@@ -57,6 +61,8 @@ class SolverConfig:
     max_iterations: int = 5000
 
     def __post_init__(self):
+        if self.e0 is not None and not np.isfinite(self.e0.mandel).all():
+            raise ValueError(f"e0 must be finite, got {self.e0.mandel}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
@@ -98,9 +104,6 @@ class CellSolution:
     converged: bool
     history: ConvergenceHistory
 
-    def mean_curvature(self) -> SymTensor2:
-        return SymTensor2(self.curvature.mean(axis=(0, 1)))
-
     def mean_moment(self) -> SymTensor2:
         return SymTensor2(self.moment.mean(axis=(0, 1)))
 
@@ -127,8 +130,6 @@ def select_reference(
         if lambda0 is None:
             raise ValueError("manual strategy requires an explicit lambda0")
         lam = float(lambda0)
-        if not lam > 0:
-            raise ValueError(f"reference coefficient must be positive, got {lam}")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return ReferenceMedium(lam, strategy, mu_min, mu_max)
@@ -166,18 +167,23 @@ def apriori_bound(field: CoefficientField, ref: ReferenceMedium) -> float:
     return series_factor(q / ref.lambda0)
 
 
-def _delta_c_grid(field: CoefficientField, lambda0: float) -> np.ndarray:
-    return field.mandel_grid() - lambda0 * trace_dyad(field.d)
+class _NeumannStep:
+    """B = Gamma * (dC : .), the operator of the fixed point, for one field and lam0.
 
+    Built once per solve: dC = C - C0 is the only coefficient grid, and the
+    Green operator holds its scale with the inactive modes zeroed.
+    """
 
-def _equilibrium_residual(j_hat: np.ndarray, grid: FrequencyGrid) -> float:
-    """sqrt(sum over resolved n != 0 of |n.J_hat.n|^2) / |J_hat(0)|."""
-    s = (grid.mandel_nn * j_hat).sum(axis=-1)
-    num = math.sqrt(float((np.abs(s) ** 2)[grid.active_mask].sum()))
-    den = float(np.linalg.norm(j_hat[0, 0]))
-    if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / den
+    def __init__(self, field: CoefficientField, lambda0: float):
+        self.c0 = lambda0 * trace_dyad(field.d)
+        self.dc = field.mandel_grid() - self.c0
+        self.green = GreenOperator(FrequencyGrid(field.d, field.n), lambda0)
+
+    def __call__(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """dC:E, its half spectrum, and the half spectrum of Gamma*(dC:E)."""
+        p = np.einsum("xyab,xyb->xya", self.dc, e)
+        p_hat = self.green.forward(p)
+        return p, p_hat, self.green.apply(p_hat)
 
 
 def solve_cell(
@@ -197,42 +203,31 @@ def solve_cell(
     e0 = config.e0.mandel
     m = e0.shape[0]
     history = ConvergenceHistory()
-
-    c_grid = field.mandel_grid()
     if not e0.any():
         # zero load: the unique solution is the zero field
         zero = np.zeros((n, n, m))
         return CellSolution(zero, zero, config.e0, ref, 0, 0.0, True, history)
 
-    grid = FrequencyGrid(field.d, n)
-    dc_grid = _delta_c_grid(field, ref.lambda0)
-    e_const = np.broadcast_to(e0, (n, n, m))
-    e = np.array(e_const)
-    converged = False
-    residual = math.inf
-    iterations = 0
-    # divergent references overflow before the non-finite break triggers
+    step = _NeumannStep(field, ref.lambda0)
+    e = np.broadcast_to(e0, (n, n, m))
+    e_hat = step(e)[2]
+    # divergent references overflow before their residual turns non-finite and ends the loop
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, config.max_iterations + 1):
-            p = np.einsum("xyab,xyb->xya", dc_grid, e)
-            p_hat = np.fft.fftn(p, axes=(0, 1))
-            correction = apply_gamma_coeffs(p_hat, grid, ref.lambda0)
-            e_new = e_const + np.real(np.fft.ifftn(correction, axes=(0, 1)))
-            j = np.einsum("xyab,xyb->xya", c_grid, e_new)
-            j_hat = np.fft.fftn(j, axes=(0, 1))
-            residual = _equilibrium_residual(j_hat, grid)
+            e_hat[0, 0] = n * n * e0  # Gamma zeroes the mean mode; E0 fills it
+            e_new = step.green.inverse(e_hat)
+            p, p_hat, gamma_hat = step(e_new)
+            # C:E = dC:E + C0:E, so J_hat reuses p_hat instead of a third FFT
+            j = p + e_new @ step.c0
+            residual = step.green.equilibrium_residual(p_hat + e_hat @ step.c0)
             delta = math.sqrt(float(((e_new - e) ** 2).sum(axis=-1).mean()))
             energy = float((e_new * j).sum(axis=-1).mean())
             history.append(k, residual, delta, energy)
-            e = e_new
-            iterations = k
-            if residual <= config.tolerance:
-                converged = True
+            e, e_hat = e_new, gamma_hat
+            if residual <= config.tolerance or not math.isfinite(residual):
                 break
-            if not math.isfinite(residual):
-                break  # divergent reference; no point burning the budget
-    j = np.einsum("xyab,xyb->xya", c_grid, e)
-    return CellSolution(e, j, config.e0, ref, iterations, residual, converged, history)
+    converged = residual <= config.tolerance
+    return CellSolution(e, j, config.e0, ref, k, residual, converged, history)
 
 
 def estimate_spectral_radius(
@@ -249,17 +244,14 @@ def estimate_spectral_radius(
     if field.d != 2:
         raise ValueError("the estimator is two-dimensional")
     n = field.n
-    grid = FrequencyGrid(field.d, n)
-    dc_grid = _delta_c_grid(field, ref.lambda0)
+    step = _NeumannStep(field, ref.lambda0)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, n, mandel_size(field.d)))
     x -= x.mean(axis=(0, 1))
     x /= math.sqrt(float((x**2).sum(axis=-1).mean()))
     ratios = []
     for _ in range(iterations):
-        p = np.einsum("xyab,xyb->xya", dc_grid, x)
-        p_hat = np.fft.fftn(p, axes=(0, 1))
-        y = -np.real(np.fft.ifftn(apply_gamma_coeffs(p_hat, grid, ref.lambda0), axes=(0, 1)))
+        y = -step.green.inverse(step(x)[2])
         r = math.sqrt(float((y**2).sum(axis=-1).mean()))
         if r < 1e-13:
             return 0.0

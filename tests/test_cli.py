@@ -59,6 +59,31 @@ class TestSolveCommand:
         assert code == 1
         assert not out.exists()
 
+    def test_three_dimensional_micro_file_exits_1_without_outputs(self, tmp_path):
+        identity6 = np.eye(6)[np.triu_indices(6)]
+        micro = tmp_path / "cube.micro"
+        micro.write_text(
+            "plate-micro v1\n"
+            "d 3 N 2 phases 1\n"
+            "phase 0 " + " ".join(f"{v:g}" for v in identity6) + "\n"
+            + "0 0\n" * 4
+        )
+        out = tmp_path / "run"
+        code = run("solve", "--out", str(out), "--set", f"micro.file={micro}", "--set", "e0=1,0,0")
+        assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("e0", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+    def test_nonfinite_e0_exits_1_without_report(self, tmp_path, e0):
+        out = tmp_path / "run"
+        code = run(
+            "solve", "--out", str(out),
+            "--set", "micro.generator=chessboard", "--set", "micro.alpha=1",
+            "--set", "micro.beta=3", "--set", "micro.n=8", "--set", f"e0={e0}",
+        )
+        assert code == 1
+        assert not (out / "report.txt").exists()
+
     def test_divergent_manual_reference_exits_2_with_flag(self, tmp_path):
         out = tmp_path / "run"
         code = run(

