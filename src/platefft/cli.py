@@ -28,7 +28,7 @@ from .homogenize import (
     effective_tensor,
     voigt_reuss_bounds,
 )
-from .mandel import StiffTensor4, SymTensor2
+from .mandel import M, StiffTensor4, SymTensor2
 from .microstructure import (
     CoefficientField,
     MicrostructureFormatError,
@@ -152,8 +152,8 @@ def build_field(cfg: RunConfig) -> tuple[CoefficientField, str]:
         return field, f"file {cfg.micro_file}"
     if cfg.n is None:
         raise ConfigError("generators require micro.n")
-    a = cfg.alpha * StiffTensor4.identity(2)
-    b = cfg.beta * StiffTensor4.identity(2)
+    a = cfg.alpha * StiffTensor4.identity()
+    b = cfg.beta * StiffTensor4.identity()
     try:
         if cfg.generator == "laminate":
             field = generate_laminate(a, b, cfg.fraction, cfg.axis, cfg.n)
@@ -185,6 +185,17 @@ def _solver_config(cfg: RunConfig, e0: SymTensor2 | None) -> SolverConfig:
         return SolverConfig(e0=e0, tolerance=cfg.tolerance, max_iterations=cfg.max_iterations)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _write_text(out: str | None, name: str, lines: list[str], echo: bool = False) -> None:
+    """Write `lines` as the artifact out/name (skipped if out is None); echo prints them first."""
+    text = "\n".join(lines) + "\n"
+    if echo:
+        print(text, end="")
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _write_history(path, history) -> None:
@@ -223,7 +234,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
         "plate-report v1",
         "command solve",
         f"microstructure {desc}",
-        f"d {field.d} N {field.n}",
+        f"d 2 N {field.n}",
         *_reference_lines(ref),
         f"tolerance {_fmt(cfg.tolerance)}",
         f"max_iterations {cfg.max_iterations}",
@@ -237,8 +248,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
     ]
     if ref.strategy == "arithmetic":
         lines.insert(6, f"spectral_bound {_fmt(spectral_bound(ref.mu_min, ref.mu_max))}")
-    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(out, "report.txt", lines)
     if not solution.converged:
         print("solve did not converge within the iteration budget", file=sys.stderr)
         return 2
@@ -261,23 +271,24 @@ def cmd_homogenize(cfg: RunConfig, out: str) -> int:
     verdict = bracket_check(bounds, effective.tensor)
     os.makedirs(out, exist_ok=True)
     chom = effective.tensor.mandel_matrix
-    with open(os.path.join(out, "c_hom.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"plate-chom v1 d {field.d} m {chom.shape[0]}\n")
-        fh.write("\n".join(_matrix_lines(chom)) + "\n")
-    with open(os.path.join(out, "bounds.txt"), "w", encoding="utf-8") as fh:
-        fh.write("plate-bounds v1\n")
-        fh.write("voigt\n" + "\n".join(_matrix_lines(bounds.voigt.mandel_matrix)) + "\n")
-        fh.write("reuss\n" + "\n".join(_matrix_lines(bounds.reuss.mandel_matrix)) + "\n")
-        fh.write("eig_voigt_minus_chom " + " ".join(_fmt(v) for v in verdict.upper_slack) + "\n")
-        fh.write("eig_chom_minus_reuss " + " ".join(_fmt(v) for v in verdict.lower_slack) + "\n")
-        fh.write(f"verdict {'bracketed' if verdict.bracketed else 'violated'}\n")
+    _write_text(out, "c_hom.txt", [f"plate-chom v1 d 2 m {M}", *_matrix_lines(chom)])
+    _write_text(out, "bounds.txt", [
+        "plate-bounds v1",
+        "voigt",
+        *_matrix_lines(bounds.voigt.mandel_matrix),
+        "reuss",
+        *_matrix_lines(bounds.reuss.mandel_matrix),
+        "eig_voigt_minus_chom " + " ".join(_fmt(v) for v in verdict.upper_slack),
+        "eig_chom_minus_reuss " + " ".join(_fmt(v) for v in verdict.lower_slack),
+        f"verdict {'bracketed' if verdict.bracketed else 'violated'}",
+    ])
     for case in effective.load_cases:
         _write_history(os.path.join(out, f"history_case{case.index}.csv"), case.history)
     lines = [
         "plate-report v1",
         "command homogenize",
         f"microstructure {desc}",
-        f"d {field.d} N {field.n}",
+        f"d 2 N {field.n}",
         *_reference_lines(ref),
         f"tolerance {_fmt(cfg.tolerance)}",
         f"asymmetry {_fmt(effective.asymmetry)}",
@@ -302,8 +313,7 @@ def cmd_homogenize(cfg: RunConfig, out: str) -> int:
             f"computed_1111 {_fmt(chom[0, 0])}",
             f"difference {_fmt(chom[0, 0] - anchor)}",
         ]
-    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(out, "report.txt", lines)
     return 0
 
 
@@ -326,12 +336,7 @@ def cmd_spectrum(cfg: RunConfig, out: str | None) -> int:
         f"seed {cfg.seed}",
         f"series_factor {_series_factor_line(field, ref)}",
     ]
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "spectrum.txt"), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_text(out, "spectrum.txt", lines, echo=True)
     return 0
 
 
@@ -345,17 +350,13 @@ def cmd_green(y_text: str, cutoff: int, out: str | None) -> int:
     if cutoff < 1:
         raise ConfigError(f"cutoff must be >= 1, got {cutoff}")
     value = green_evaluate(y, cutoff)
-    text = (
-        "plate-green v1\n"
-        + "y " + " ".join(_fmt(v) for v in y) + "\n"
-        + f"cutoff {cutoff}\n"
-        + f"value {_fmt(value)}\n"
-    )
-    print(text, end="")
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "green.txt"), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    lines = [
+        "plate-green v1",
+        "y " + " ".join(_fmt(v) for v in y),
+        f"cutoff {cutoff}",
+        f"value {_fmt(value)}",
+    ]
+    _write_text(out, "green.txt", lines, echo=True)
     return 0
 
 
@@ -364,15 +365,13 @@ def cmd_decompose(field_path: str, out: str) -> int:
         values = read_field(field_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read field: {exc}") from None
-    if values.ndim != 3:
-        raise ConfigError("decompose expects a two-dimensional field")
     spectral = SpectralField.from_real(values)
     pot, sol, mean = weyl_decompose(spectral)
     n = spectral.n
     os.makedirs(out, exist_ok=True)
     write_field(os.path.join(out, "part_pot.field"), pot.to_real())
     write_field(os.path.join(out, "part_sol.field"), sol.to_real())
-    mean_grid = np.broadcast_to(mean.mandel, (n, n, mean.mandel.shape[0]))
+    mean_grid = np.broadcast_to(mean.mandel, (n, n, M))
     write_field(os.path.join(out, "part_mean.field"), np.array(mean_grid))
     mean_field = SpectralField.from_real(np.array(mean_grid))
     inner = {
@@ -382,10 +381,7 @@ def cmd_decompose(field_path: str, out: str) -> int:
     }
     lines = ["plate-decompose v1", f"d 2 N {n}"]
     lines += [f"inner_{k} {_fmt(v)}" for k, v in inner.items()]
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    with open(os.path.join(out, "decompose_report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(out, "decompose_report.txt", lines, echo=True)
     return 0
 
 

@@ -1,13 +1,15 @@
 """Text dumps of Mandel-vector grid fields (`plate-field v1`).
 
-Header line: ``plate-field v1 d <d> N <N> m <m>``, followed by N^d lines of m
-reals, voxels row-major (axis 0 slowest), 17 significant digits.
+Header line: ``plate-field v1 d 2 N <N> m 3``, followed by N^2 lines of 3
+reals (the Mandel components of one voxel), voxels row-major (axis 0
+slowest), 17 significant digits.  Fields are two-dimensional; the ``d 2``
+entry is kept for format stability.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .mandel import mandel_size
+from .mandel import M
 
 FIELD_MAGIC = "plate-field"
 FIELD_VERSION = "v1"
@@ -19,16 +21,12 @@ class FieldFormatError(ValueError):
 
 def write_field(path, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float)
-    m = values.shape[-1]
-    d = values.ndim - 1
     n = values.shape[0]
-    if values.shape != (n,) * d + (m,):
-        raise ValueError(f"expected shape (N,)*d + (m,), got {values.shape}")
-    if mandel_size(d) != m:
-        raise ValueError(f"component count {m} does not match dimension {d}")
-    rows = values.reshape(-1, m)
+    if values.shape != (n, n, M):
+        raise ValueError(f"expected shape (N, N, {M}), got {values.shape}")
+    rows = values.reshape(-1, M)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{FIELD_MAGIC} {FIELD_VERSION} d {d} N {n} m {m}\n")
+        fh.write(f"{FIELD_MAGIC} {FIELD_VERSION} d 2 N {n} m {M}\n")
         for row in rows:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
@@ -55,15 +53,17 @@ def read_field(path) -> np.ndarray:
         d, n, m = int(header[3]), int(header[5]), int(header[7])
     except ValueError as exc:
         raise FieldFormatError(f"non-integer header entry: {exc}") from None
-    if mandel_size(d) != m:
-        raise FieldFormatError(f"component count {m} does not match dimension {d}")
+    if d != 2:
+        raise FieldFormatError(f"unsupported dimension d={d}; platefft is two-dimensional")
+    if m != M:
+        raise FieldFormatError(f"component count {m} does not match dimension 2 (expected {M})")
     body = lines[1:]
-    if len(body) != n**d:
-        raise FieldFormatError(f"expected N^d = {n**d} rows, found {len(body)}")
+    if len(body) != n * n:
+        raise FieldFormatError(f"expected N^2 = {n * n} rows, found {len(body)}")
     try:
         values = np.array([[float(v) for v in row] for row in body])
     except ValueError as exc:
         raise FieldFormatError(f"bad field entry: {exc}") from None
-    if values.shape != (n**d, m):
-        raise FieldFormatError(f"rows must carry {m} reals each")
-    return values.reshape((n,) * d + (m,))
+    if values.shape != (n * n, M):
+        raise FieldFormatError(f"rows must carry {M} reals each")
+    return values.reshape(n, n, M)

@@ -4,9 +4,9 @@ splitting of tensor fields, and lattice Sobolev partial sums.
 
 Conventions
 -----------
-Periodic functions on [0,1)^d are expanded in modes exp(2*pi*i*n.y) with
+Periodic functions on [0,1)^2 are expanded in modes exp(2*pi*i*n.y) with
 integer frequency vectors n.  The discrete transform is the unnormalized
-forward DFT (numpy.fft.fftn) with the 1/N^d factor on the inverse; all
+forward DFT (numpy.fft.fftn) with the 1/N^2 factor on the inverse; all
 contracts below compare transformed quantities with transformed quantities,
 so they are independent of that scaling.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mandel import SQRT2, SymTensor2, mandel_size, spatial_dim, sym_to_mandel
+from .mandel import M, SQRT2, SymTensor2, sym_to_mandel
 
 
 def green_fourier_coefficient(n) -> float:
@@ -69,7 +69,7 @@ def green_evaluate(y, cutoff: int) -> float:
 
 
 def gamma_symbol(n, lambda0: float) -> np.ndarray:
-    """Green-operator symbol at one integer frequency, as an m x m matrix.
+    """Green-operator symbol at one integer frequency, as an M x M Mandel matrix.
 
     For n != 0 this is the rank-one operator
     P_hat -> -(n (x) n)(n . P_hat . n) / (lambda0 |n|^4); for n = 0 the zero
@@ -78,17 +78,16 @@ def gamma_symbol(n, lambda0: float) -> np.ndarray:
     if lambda0 <= 0:
         raise ValueError(f"reference coefficient must be positive, got {lambda0}")
     n = np.asarray(n, dtype=float)
-    m = mandel_size(n.shape[0])
     norm4 = float((n @ n) ** 2)
     if norm4 == 0.0:
-        return np.zeros((m, m))
+        return np.zeros((M, M))
     nn = sym_to_mandel(np.outer(n, n))
     return -np.outer(nn, nn) / (lambda0 * norm4)
 
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Integer DFT frequencies for an N^d grid, with cached symbol arrays.
+    """Integer DFT frequencies for an N x N grid, with cached symbol arrays.
 
     inv_norm4 is 1/|n|^4 on the active modes and 0 on the inactive ones.
     """
@@ -126,45 +125,35 @@ class FrequencyGrid:
 class SpectralField:
     """Complex Fourier coefficients of a Mandel-vector-valued periodic field.
 
-    Layout: shape (N,)*d + (m,), unnormalized forward DFT over the grid axes.
+    Layout: shape (N, N, M), unnormalized forward DFT over the two grid axes.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs)
-        if c.ndim < 2:
-            raise ValueError("expected grid axes plus a Mandel component axis")
-        d = spatial_dim(c.shape[-1])
-        if c.ndim - 1 != d or c.shape[:-1] != (c.shape[0],) * d:
-            raise ValueError(f"coefficient array shape {c.shape} is not (N,)*d + (m,)")
+        if c.ndim != 3 or c.shape != (c.shape[0], c.shape[0], M):
+            raise ValueError(f"coefficient array shape {c.shape} is not (N, N, {M})")
         object.__setattr__(self, "coeffs", np.ascontiguousarray(c, dtype=complex))
 
     @classmethod
     def from_real(cls, values: np.ndarray) -> "SpectralField":
-        values = np.asarray(values, dtype=float)
-        d = spatial_dim(values.shape[-1])
-        return cls(np.fft.fftn(values, axes=tuple(range(d))))
-
-    @property
-    def d(self) -> int:
-        return spatial_dim(self.coeffs.shape[-1])
+        return cls(np.fft.fftn(np.asarray(values, dtype=float), axes=(0, 1)))
 
     @property
     def n(self) -> int:
         return self.coeffs.shape[0]
 
     def to_real(self) -> np.ndarray:
-        return np.real(np.fft.ifftn(self.coeffs, axes=tuple(range(self.d))))
+        return np.real(np.fft.ifftn(self.coeffs, axes=(0, 1)))
 
     def mean(self) -> SymTensor2:
-        """Mean value of the field (zero-frequency coefficient / N^d)."""
-        zero = (0,) * self.d
-        return SymTensor2(np.real(self.coeffs[zero]) / self.n**self.d)
+        """Mean value of the field (zero-frequency coefficient / N^2)."""
+        return SymTensor2(np.real(self.coeffs[0, 0]) / self.n**2)
 
     def conjugate_asymmetry(self) -> float:
         """Largest imaginary part of the real-space representation, relative."""
-        back = np.fft.ifftn(self.coeffs, axes=tuple(range(self.d)))
+        back = np.fft.ifftn(self.coeffs, axes=(0, 1))
         scale = max(float(np.abs(back).max()), 1e-300)
         return float(np.abs(back.imag).max() / scale)
 
@@ -174,7 +163,7 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
     if a.coeffs.shape != b.coeffs.shape:
         raise ValueError("fields live on different grids")
     total = np.vdot(a.coeffs, b.coeffs)
-    return float(total.real) / a.n ** (2 * a.d)
+    return float(total.real) / a.n**4
 
 
 def _gamma_multiply(coeffs: np.ndarray, nn: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -184,7 +173,7 @@ def _gamma_multiply(coeffs: np.ndarray, nn: np.ndarray, scale: np.ndarray) -> np
 
 
 def apply_gamma_coeffs(p_hat: np.ndarray, grid: FrequencyGrid, lambda0: float) -> np.ndarray:
-    """Multiply coefficient array (N,N,m) by the Green-operator symbol.
+    """Multiply coefficient array (N, N, M) by the Green-operator symbol.
 
     Inactive modes (zero frequency; Nyquist rows on even grids) map to zero.
     """
@@ -199,14 +188,14 @@ def gamma_apply(field: SpectralField, lambda0: float) -> SpectralField:
     The output has exactly zero mean and is conjugate-symmetric whenever the
     input is.
     """
-    grid = FrequencyGrid(field.d, field.n)
+    grid = FrequencyGrid(2, field.n)
     return SpectralField(apply_gamma_coeffs(field.coeffs, grid, lambda0))
 
 
 class GreenOperator:
     """The Green operator of one reference lam0, acting on real N x N fields.
 
-    It works on the rfftn half spectrum, shape (N, N//2 + 1, m): column j holds
+    It works on the rfftn half spectrum, shape (N, N//2 + 1, M): column j holds
     n2 = j, and n2 = -j is left implicit as its conjugate.  On even grids the last
     column is the Nyquist column (+N/2 here, -N/2 in fftn), inactive either way.
     """
@@ -224,11 +213,11 @@ class GreenOperator:
         self.weights = np.where((col == 0) | (2 * col == grid.n), 1.0, 2.0) * grid.active_mask[half]
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """Half spectrum of a real (N, N, m) field."""
+        """Half spectrum of a real (N, N, M) field."""
         return np.fft.rfftn(values, axes=(0, 1))
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real (N, N, m) field with the given half spectrum."""
+        """Real (N, N, M) field with the given half spectrum."""
         return np.fft.irfftn(coeffs, s=(self.n, self.n), axes=(0, 1))
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
@@ -253,15 +242,14 @@ def weyl_decompose(field: SpectralField) -> tuple[SpectralField, SpectralField, 
     left.  The three parts are mutually L2-orthogonal and reconstruct the
     input exactly.
     """
-    grid = FrequencyGrid(field.d, field.n)
+    grid = FrequencyGrid(2, field.n)
     nn = grid.mandel_nn
     norm4 = np.where(grid.norm4 == 0, 1.0, grid.norm4)
     s = (nn * field.coeffs).sum(axis=-1)
     pot = nn * (s / norm4)[..., None]
-    zero = (0,) * field.d
-    pot[zero] = 0.0
+    pot[0, 0] = 0.0
     sol = field.coeffs - pot
-    sol[zero] = 0.0
+    sol[0, 0] = 0.0
     return SpectralField(pot), SpectralField(sol), field.mean()
 
 
@@ -269,7 +257,7 @@ def weyl_decompose(field: SpectralField) -> tuple[SpectralField, SpectralField, 
 class SkewPotential:
     """Per-frequency potential Gamma^{sh}_{ij} of a solenoidal field.
 
-    Stored as a complex array of shape (N,)*d + (d,d,d,d) with index order
+    Stored as a complex array of shape (N, N, 2, 2, 2, 2) with index order
     (s, h, i, j); symmetric in (i, j) and skew between the index pairs.
     """
 
@@ -289,19 +277,16 @@ def build_skew_potential(field: SpectralField, tol: float = 1e-10) -> SkewPotent
         Gamma^{sh}_{ij,n} = (-g^{ij}_n n_s n_h + g^{sh}_n n_i n_j)
                             |n|^-4 (-4 pi^2)^-1.
     """
-    if field.d != 2:
-        raise ValueError("skew potentials are implemented for d = 2")
-    grid = FrequencyGrid(field.d, field.n)
+    grid = FrequencyGrid(2, field.n)
     nn = grid.mandel_nn
     scale = max(float(np.abs(field.coeffs).max()), 1e-300)
     contraction = (nn * field.coeffs).sum(axis=-1)
-    zero = (0,) * field.d
     if np.abs(contraction).max() > tol * scale * max(grid.norm4.max() ** 0.5, 1.0):
         raise ValueError("input is not solenoidal: n . g_hat(n) . n != 0")
-    if np.abs(field.coeffs[zero]).max() > tol * scale:
+    if np.abs(field.coeffs[0, 0]).max() > tol * scale:
         raise ValueError("input has a nonzero mean")
     n1, n2 = grid.components
-    # dense (d,d) coefficients g^{ij}_n from the Mandel layout
+    # dense 2 x 2 coefficients g^{ij}_n from the Mandel layout
     g = np.empty(field.coeffs.shape[:-1] + (2, 2), dtype=complex)
     g[..., 0, 0] = field.coeffs[..., 0]
     g[..., 1, 1] = field.coeffs[..., 1]
@@ -314,7 +299,7 @@ def build_skew_potential(field: SpectralField, tol: float = 1e-10) -> SkewPotent
     term1 = outer[..., :, :, None, None] * g[..., None, None, :, :]
     term2 = g[..., :, :, None, None] * outer[..., None, None, :, :]
     gamma = (-term1 + term2) * factor[..., None, None, None, None]
-    gamma[zero] = 0.0
+    gamma[0, 0] = 0.0
     return SkewPotential(gamma)
 
 
@@ -329,7 +314,7 @@ def reconstruct_from_skew(skew: SkewPotential) -> SpectralField:
     outer = nvec[..., :, None] * nvec[..., None, :]
     # D* on the mode: (2 pi i)^2 n_i n_j Gamma^{sh}_{ij}
     dense = -4.0 * np.pi**2 * np.einsum("xyshij,xyij->xysh", skew.coeffs, outer.astype(complex))
-    out = np.empty(skew.coeffs.shape[:2] + (3,), dtype=complex)
+    out = np.empty(skew.coeffs.shape[:2] + (M,), dtype=complex)
     out[..., 0] = dense[..., 0, 0]
     out[..., 1] = dense[..., 1, 1]
     out[..., 2] = SQRT2 * 0.5 * (dense[..., 0, 1] + dense[..., 1, 0])

@@ -1,6 +1,6 @@
 """Effective stiffness assembly, Voigt-Reuss bounds, and analytic anchors.
 
-The effective tensor is assembled column by column from the m cell problems
+The effective tensor is assembled column by column from the M cell problems
 loaded with the Mandel basis tensors: column j collects the Mandel coordinates
 of the mean moment <C(y):E^(j)(y)>.  For elliptic coefficients the result is
 bracketed by the Reuss (harmonic) and Voigt (arithmetic) averages in the sense
@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mandel import StiffTensor4, SymTensor2, mandel_size
+from .mandel import M, StiffTensor4, SymTensor2
 from .microstructure import CoefficientField
 from .solver import ConvergenceHistory, ReferenceMedium, SolverConfig, solve_cell
 
@@ -64,7 +64,7 @@ class BracketVerdict:
 def effective_tensor(
     field: CoefficientField, ref: ReferenceMedium, config: SolverConfig | None = None
 ) -> EffectiveTensor:
-    """Solve the m basis load cases and assemble the effective Mandel matrix.
+    """Solve the M basis load cases and assemble the effective Mandel matrix.
 
     The raw column matrix is symmetrized; the relative pre-symmetrization
     asymmetry is kept as a diagnostic.  A non-convergent load case aborts the
@@ -72,11 +72,10 @@ def effective_tensor(
     """
     if config is None:
         config = SolverConfig()
-    m = mandel_size(field.d)
-    columns = np.zeros((m, m))
+    columns = np.zeros((M, M))
     cases: list[LoadCase] = []
-    for j in range(m):
-        e0 = SymTensor2.basis(j, field.d)
+    for j in range(M):
+        e0 = SymTensor2.basis(j)
         solution = solve_cell(field, ref, replace(config, e0=e0))
         if not solution.converged:
             raise NonConvergenceError(
@@ -95,9 +94,8 @@ def effective_tensor(
 
 def voigt_reuss_bounds(field: CoefficientField) -> BoundsReport:
     """Volume-weighted arithmetic mean <C> and harmonic mean <C^-1>^-1."""
-    m = mandel_size(field.d)
-    voigt = np.zeros((m, m))
-    reuss_inv = np.zeros((m, m))
+    voigt = np.zeros((M, M))
+    reuss_inv = np.zeros((M, M))
     for pid, fraction in field.volume_fractions().items():
         tensor = field.table.phases[pid]
         voigt += fraction * tensor.mandel_matrix

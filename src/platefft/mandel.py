@@ -1,14 +1,12 @@
 """Symmetric tensor algebra in the orthonormal Mandel (Kelvin) representation.
 
-Symmetric second-order tensors are stored as vectors of length m = d(d+1)/2
-with the off-diagonal entries scaled by sqrt(2); fourth-order tensors with
-minor and major symmetries become symmetric m x m matrices.  The scaling makes
-the representation orthonormal: Mandel dot products equal full double
-contractions, and the eigenvalues of the Mandel matrix are the eigenvalues of
-the fourth-order tensor itself (a Voigt encoding would distort them).
-
-d = 2 is the primary use case (plate bending); d = 3 is supported here as
-well, but nothing downstream relies on it.
+platefft is two-dimensional: a symmetric 2 x 2 tensor is stored as a vector of
+M = 3 components (11, 22, 12) with the off-diagonal entry scaled by sqrt(2),
+and a fourth-order tensor with minor and major symmetries becomes a symmetric
+3 x 3 matrix.  The scaling makes the representation orthonormal: Mandel dot
+products equal full double contractions, and the eigenvalues of the Mandel
+matrix are the eigenvalues of the fourth-order tensor itself (a Voigt
+encoding would distort them).
 """
 from __future__ import annotations
 
@@ -18,14 +16,9 @@ import numpy as np
 
 SQRT2 = float(np.sqrt(2.0))
 
-# Independent index pairs, row-major upper triangle ordering of the off-diagonal
-# block after the diagonal: (11, 22, 12) for d=2, (11, 22, 33, 23, 13, 12) for d=3.
-_PAIRS = {
-    2: ((0, 0), (1, 1), (0, 1)),
-    3: ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)),
-}
-_MANDEL_SIZE = {2: 3, 3: 6}
-_SPATIAL_DIM = {3: 2, 6: 3}
+# Independent index pairs: the diagonal (11, 22), then the shear entry (12).
+_PAIRS = ((0, 0), (1, 1), (0, 1))
+M = len(_PAIRS)
 
 _SYM_TOL = 1e-12
 
@@ -34,29 +27,13 @@ class SingularTensorError(ValueError):
     """Raised when a stiffness tensor has no usable inverse."""
 
 
-def mandel_size(d: int) -> int:
-    """Number of Mandel components for spatial dimension d."""
-    if d not in _MANDEL_SIZE:
-        raise ValueError(f"unsupported spatial dimension {d} (expected 2 or 3)")
-    return _MANDEL_SIZE[d]
-
-
-def spatial_dim(m: int) -> int:
-    """Spatial dimension corresponding to a Mandel vector length m."""
-    if m not in _SPATIAL_DIM:
-        raise ValueError(f"invalid Mandel component count {m} (expected 3 or 6)")
-    return _SPATIAL_DIM[m]
-
-
 def sym_to_mandel(matrix: np.ndarray) -> np.ndarray:
-    """Encode a symmetric d x d matrix as a Mandel vector."""
+    """Encode a symmetric 2 x 2 matrix as a Mandel vector."""
     matrix = np.asarray(matrix, dtype=float)
-    d = matrix.shape[0]
-    pairs = _PAIRS[d] if d in _PAIRS else None
-    if pairs is None or matrix.shape != (d, d):
-        raise ValueError(f"expected a square 2x2 or 3x3 matrix, got shape {matrix.shape}")
-    out = np.empty(mandel_size(d))
-    for a, (i, j) in enumerate(pairs):
+    if matrix.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {matrix.shape}")
+    out = np.empty(M)
+    for a, (i, j) in enumerate(_PAIRS):
         out[a] = matrix[i, j] if i == j else SQRT2 * 0.5 * (matrix[i, j] + matrix[j, i])
     return out
 
@@ -64,9 +41,10 @@ def sym_to_mandel(matrix: np.ndarray) -> np.ndarray:
 def mandel_to_sym(vec: np.ndarray) -> np.ndarray:
     """Decode a Mandel vector back into the dense symmetric matrix."""
     vec = np.asarray(vec)
-    d = spatial_dim(vec.shape[-1])
-    out = np.zeros(vec.shape[:-1] + (d, d), dtype=vec.dtype)
-    for a, (i, j) in enumerate(_PAIRS[d]):
+    if vec.shape[-1] != M:
+        raise ValueError(f"invalid Mandel component count {vec.shape[-1]} (expected {M})")
+    out = np.zeros(vec.shape[:-1] + (2, 2), dtype=vec.dtype)
+    for a, (i, j) in enumerate(_PAIRS):
         if i == j:
             out[..., i, j] = vec[..., a]
         else:
@@ -76,31 +54,28 @@ def mandel_to_sym(vec: np.ndarray) -> np.ndarray:
 
 
 def stiff_to_mandel(dense: np.ndarray) -> np.ndarray:
-    """Encode a minor+major symmetric fourth-order tensor as an m x m matrix."""
+    """Encode a minor+major symmetric fourth-order tensor as an M x M matrix."""
     dense = np.asarray(dense, dtype=float)
-    d = dense.shape[0]
-    if d not in _PAIRS or dense.shape != (d,) * 4:
-        raise ValueError(f"expected shape (d,d,d,d) with d in (2,3), got {dense.shape}")
-    pairs = _PAIRS[d]
-    m = mandel_size(d)
-    out = np.empty((m, m))
-    for a, (i, j) in enumerate(pairs):
+    if dense.shape != (2, 2, 2, 2):
+        raise ValueError(f"expected shape (2,2,2,2), got {dense.shape}")
+    out = np.empty((M, M))
+    for a, (i, j) in enumerate(_PAIRS):
         fa = 1.0 if i == j else SQRT2
-        for b, (k, l) in enumerate(pairs):
+        for b, (k, l) in enumerate(_PAIRS):
             fb = 1.0 if k == l else SQRT2
             out[a, b] = fa * fb * dense[i, j, k, l]
     return out
 
 
 def mandel_to_stiff(matrix: np.ndarray) -> np.ndarray:
-    """Decode an m x m Mandel matrix into the dense (d,d,d,d) tensor."""
+    """Decode an M x M Mandel matrix into the dense (2,2,2,2) tensor."""
     matrix = np.asarray(matrix, dtype=float)
-    d = spatial_dim(matrix.shape[0])
-    pairs = _PAIRS[d]
-    out = np.zeros((d,) * 4)
-    for a, (i, j) in enumerate(pairs):
+    if matrix.shape != (M, M):
+        raise ValueError(f"expected a {M}x{M} Mandel matrix, got shape {matrix.shape}")
+    out = np.zeros((2, 2, 2, 2))
+    for a, (i, j) in enumerate(_PAIRS):
         fa = 1.0 if i == j else SQRT2
-        for b, (k, l) in enumerate(pairs):
+        for b, (k, l) in enumerate(_PAIRS):
             fb = 1.0 if k == l else SQRT2
             val = matrix[a, b] / (fa * fb)
             for ii, jj in {(i, j), (j, i)}:
@@ -109,16 +84,14 @@ def mandel_to_stiff(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def identity_vector(d: int) -> np.ndarray:
-    """Mandel encoding of the d x d identity matrix."""
-    v = np.zeros(mandel_size(d))
-    v[:d] = 1.0
-    return v
+def identity_vector() -> np.ndarray:
+    """Mandel encoding of the 2 x 2 identity matrix."""
+    return np.array([1.0, 1.0, 0.0])
 
 
-def trace_dyad(d: int) -> np.ndarray:
+def trace_dyad() -> np.ndarray:
     """Mandel matrix of the map xi -> Tr(xi) * I (rank one, singular)."""
-    iv = identity_vector(d)
+    iv = identity_vector()
     return np.outer(iv, iv)
 
 
@@ -130,9 +103,8 @@ class SymTensor2:
 
     def __post_init__(self):
         vec = np.array(self.mandel, dtype=float)
-        if vec.ndim != 1:
-            raise ValueError(f"Mandel vector must be one-dimensional, got shape {vec.shape}")
-        spatial_dim(vec.shape[0])
+        if vec.shape != (M,):
+            raise ValueError(f"Mandel vector must have shape ({M},), got {vec.shape}")
         vec.flags.writeable = False
         object.__setattr__(self, "mandel", vec)
 
@@ -144,32 +116,18 @@ class SymTensor2:
         return cls(sym_to_mandel(matrix))
 
     @classmethod
-    def zero(cls, d: int = 2) -> "SymTensor2":
-        return cls(np.zeros(mandel_size(d)))
-
-    @classmethod
-    def basis(cls, index: int, d: int = 2) -> "SymTensor2":
+    def basis(cls, index: int) -> "SymTensor2":
         """k-th Mandel basis tensor (unit Mandel vector)."""
-        v = np.zeros(mandel_size(d))
+        v = np.zeros(M)
         v[index] = 1.0
         return cls(v)
-
-    @property
-    def d(self) -> int:
-        return spatial_dim(self.mandel.shape[0])
 
     def to_matrix(self) -> np.ndarray:
         return mandel_to_sym(self.mandel)
 
-    def trace(self) -> float:
-        return float(self.mandel[: self.d].sum())
-
     def inner(self, other: "SymTensor2") -> float:
         """Full double contraction a_ij b_ij (= Mandel dot product)."""
         return float(self.mandel @ other.mandel)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.mandel))
 
     def __add__(self, other: "SymTensor2") -> "SymTensor2":
         return SymTensor2(self.mandel + other.mandel)
@@ -191,9 +149,8 @@ class StiffTensor4:
 
     def __post_init__(self):
         mat = np.array(self.mandel_matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"Mandel matrix must be square, got shape {mat.shape}")
-        spatial_dim(mat.shape[0])
+        if mat.shape != (M, M):
+            raise ValueError(f"Mandel matrix must have shape ({M}, {M}), got {mat.shape}")
         scale = max(1.0, float(abs(mat).max()))
         if abs(mat - mat.T).max() > 1e-10 * scale:
             raise ValueError("Mandel matrix is not symmetric (major symmetry violated)")
@@ -206,32 +163,12 @@ class StiffTensor4:
         return cls(stiff_to_mandel(dense))
 
     @classmethod
-    def identity(cls, d: int = 2) -> "StiffTensor4":
+    def identity(cls) -> "StiffTensor4":
         """Symmetric fourth-order identity: C:e = e for every symmetric e."""
-        return cls(np.eye(mandel_size(d)))
-
-    @classmethod
-    def trace_multiple(cls, lam: float, d: int = 2) -> "StiffTensor4":
-        """The reference action xi -> lam * Tr(xi) * I (singular for lam != 0)."""
-        return cls(lam * trace_dyad(d))
-
-    @property
-    def d(self) -> int:
-        return spatial_dim(self.mandel_matrix.shape[0])
-
-    @property
-    def m(self) -> int:
-        return self.mandel_matrix.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        return mandel_to_stiff(self.mandel_matrix)
+        return cls(np.eye(M))
 
     def apply(self, e: SymTensor2) -> SymTensor2:
         """Double contraction C:e as a Mandel matrix-vector product."""
-        if e.mandel.shape[0] != self.m:
-            raise ValueError(
-                f"dimension mismatch: tensor has m={self.m}, argument has m={e.mandel.shape[0]}"
-            )
         return SymTensor2(self.mandel_matrix @ e.mandel)
 
     def eigenvalues(self) -> np.ndarray:
@@ -267,7 +204,3 @@ class StiffTensor4:
 
     __rmul__ = __mul__
 
-
-def double_contract(c: StiffTensor4, e: SymTensor2) -> SymTensor2:
-    """Module-level alias for C:e."""
-    return c.apply(e)

@@ -1,9 +1,9 @@
 """Periodic voxel microstructures: generators, statistics, and file ingestion.
 
-The unit cell [0,1)^d is discretized into N voxels per axis; voxel (i1,...,id)
-is sampled at its center ((i1+1/2)/N, ...).  Coefficients are stored as a
-phase map (integer id per voxel, row-major with axis 0 slowest) plus a table
-mapping ids to stiffness tensors.
+The unit cell [0,1)^2 is discretized into N voxels per axis; voxel (i1, i2)
+is sampled at its center ((i1+1/2)/N, (i2+1/2)/N).  Coefficients are stored as
+an N x N phase map (integer id per voxel, row-major with axis 0 slowest) plus a
+table mapping ids to stiffness tensors.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .mandel import StiffTensor4, mandel_size
+from .mandel import M, StiffTensor4
 
 _FRACTION_TOL = 1e-6
 
@@ -36,9 +36,6 @@ class PhaseTable:
             raise ValueError("phase table must contain at least one phase")
         if not self.alpha > 0:
             raise ValueError(f"ellipticity constant must be positive, got {self.alpha}")
-        dims = {t.d for t in phases.values()}
-        if len(dims) != 1:
-            raise ValueError(f"phases mix spatial dimensions: {sorted(dims)}")
         for pid, tensor in phases.items():
             if not tensor.is_elliptic(self.alpha):
                 raise ValueError(
@@ -55,10 +52,6 @@ class PhaseTable:
             raise ValueError("phases must be positive definite")
         return cls(phases, min(eigs.min(), 1.0 / eigs.max()))
 
-    @property
-    def d(self) -> int:
-        return next(iter(self.phases.values())).d
-
 
 @dataclass(frozen=True)
 class CoefficientField:
@@ -69,14 +62,11 @@ class CoefficientField:
 
     def __post_init__(self):
         pm = np.array(self.phase_map, dtype=int)
-        d = self.table.d
-        if pm.ndim != d:
-            raise ValueError(f"phase map has {pm.ndim} axes, table dimension is {d}")
+        if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
+            raise ValueError(f"phase map must be N x N, got shape {pm.shape}")
         n = pm.shape[0]
         if n < 2:
             raise ValueError(f"grid must have N >= 2 points per axis, got {n}")
-        if pm.shape != (n,) * d:
-            raise ValueError(f"phase map must be a cube, got shape {pm.shape}")
         unknown = set(np.unique(pm)) - set(self.table.phases)
         if unknown:
             raise ValueError(f"phase map references unknown phase ids {sorted(unknown)}")
@@ -84,17 +74,8 @@ class CoefficientField:
         object.__setattr__(self, "phase_map", pm)
 
     @property
-    def d(self) -> int:
-        return self.table.d
-
-    @property
     def n(self) -> int:
         return self.phase_map.shape[0]
-
-    def phase_at(self, *index: int) -> int:
-        """Phase id at a voxel index, with periodic wrap-around."""
-        wrapped = tuple(i % self.n for i in index)
-        return int(self.phase_map[wrapped])
 
     def present_phases(self) -> list[int]:
         return [int(p) for p in np.unique(self.phase_map)]
@@ -105,7 +86,7 @@ class CoefficientField:
         return {int(i): float(c) / total for i, c in zip(ids, counts)}
 
     def mandel_grid(self) -> np.ndarray:
-        """Per-voxel Mandel matrices, shape (N,)*d + (m, m)."""
+        """Per-voxel Mandel matrices, shape (N, N, M, M)."""
         ids = np.array(sorted(self.table.phases))
         mats = np.stack([self.table.phases[pid].mandel_matrix for pid in ids])
         return mats[np.searchsorted(ids, self.phase_map)]
@@ -134,13 +115,12 @@ def generate_laminate(
     The fraction must be exactly representable on the grid (fraction*N within
     1e-6 of an integer), so that reported volume fractions are exact.
     """
-    d = phase_a.d
     if n < 2:
         raise ValueError(f"grid must have N >= 2 points per axis, got {n}")
     if not 0.0 < volume_fraction < 1.0:
         raise ValueError(f"volume fraction must lie in (0,1), got {volume_fraction}")
-    if not 0 <= axis < d:
-        raise ValueError(f"axis must be in 0..{d - 1}, got {axis}")
+    if axis not in (0, 1):
+        raise ValueError(f"axis must be 0 or 1, got {axis}")
     slabs = volume_fraction * n
     if abs(slabs - round(slabs)) > _FRACTION_TOL:
         raise ValueError(
@@ -148,19 +128,18 @@ def generate_laminate(
             f"({slabs} slabs is not an integer)"
         )
     k = int(round(slabs))
-    pm = np.ones((n,) * d, dtype=int)
-    index = [slice(None)] * d
-    index[axis] = slice(0, k)
-    pm[tuple(index)] = 0
+    pm = np.ones((n, n), dtype=int)
+    if axis == 0:
+        pm[:k, :] = 0
+    else:
+        pm[:, :k] = 0
     return CoefficientField(pm, _two_phase_table(phase_a, phase_b))
 
 
 def generate_chessboard(
     phase_a: StiffTensor4, phase_b: StiffTensor4, n: int
 ) -> CoefficientField:
-    """Chessboard of 2x2 macro-cells per period (even N required), d = 2."""
-    if phase_a.d != 2:
-        raise ValueError("chessboard generator is two-dimensional")
+    """Chessboard of 2x2 macro-cells per period (even N required)."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"chessboard requires an even N >= 2, got {n}")
     i = np.arange(n)
@@ -174,13 +153,11 @@ def generate_inclusion(
     radius: float,
     n: int,
 ) -> CoefficientField:
-    """Circular inclusion of given radius centered in the cell, d = 2.
+    """Circular inclusion of given radius centered in the cell.
 
     A voxel belongs to the inclusion iff its center lies within periodic
     distance `radius` of the cell center (1/2, 1/2).
     """
-    if phase_matrix.d != 2:
-        raise ValueError("inclusion generator is two-dimensional")
     if not 0.0 < radius < 0.5:
         raise ValueError(f"radius must lie in (0, 0.5), got {radius}")
     if n < 2:
@@ -193,15 +170,14 @@ def generate_inclusion(
 
 
 def _upper_triangle(matrix: np.ndarray) -> list[float]:
-    m = matrix.shape[0]
-    return [float(matrix[i, j]) for i in range(m) for j in range(i, m)]
+    return [float(matrix[i, j]) for i in range(M) for j in range(i, M)]
 
 
-def _from_upper_triangle(values: list[float], m: int) -> np.ndarray:
-    out = np.zeros((m, m))
+def _from_upper_triangle(values: list[float]) -> np.ndarray:
+    out = np.zeros((M, M))
     it = iter(values)
-    for i in range(m):
-        for j in range(i, m):
+    for i in range(M):
+        for j in range(i, M):
             out[i, j] = out[j, i] = next(it)
     return out
 
@@ -210,7 +186,7 @@ def save_microstructure(field: CoefficientField, path) -> None:
     """Write the line-oriented text format (17 significant digits)."""
     lines = [MICRO_MAGIC]
     ids = sorted(field.table.phases)
-    lines.append(f"d {field.d} N {field.n} phases {len(ids)}")
+    lines.append(f"d 2 N {field.n} phases {len(ids)}")
     for pid in ids:
         tri = _upper_triangle(field.table.phases[pid].mandel_matrix)
         lines.append("phase " + str(pid) + " " + " ".join(f"{v:.17g}" for v in tri))
@@ -237,8 +213,7 @@ def load_microstructure(path) -> CoefficientField:
         raise MicrostructureFormatError(f"non-integer size header: {exc}") from None
     if d != 2:
         raise MicrostructureFormatError(f"unsupported dimension d={d}; platefft is two-dimensional")
-    m = mandel_size(d)
-    n_tri = m * (m + 1) // 2
+    n_tri = M * (M + 1) // 2
     phases: dict[int, StiffTensor4] = {}
     for row in lines[2 : 2 + n_phases]:
         if len(row) != 2 + n_tri or row[0] != "phase":
@@ -250,7 +225,7 @@ def load_microstructure(path) -> CoefficientField:
             tri = [float(v) for v in row[2:]]
         except ValueError as exc:
             raise MicrostructureFormatError(f"bad phase row: {exc}") from None
-        phases[pid] = StiffTensor4(_from_upper_triangle(tri, m))
+        phases[pid] = StiffTensor4(_from_upper_triangle(tri))
     if len(phases) != n_phases:
         raise MicrostructureFormatError("duplicate or missing phase ids")
     flat: list[int] = []
@@ -259,11 +234,11 @@ def load_microstructure(path) -> CoefficientField:
             flat.extend(int(v) for v in row)
         except ValueError as exc:
             raise MicrostructureFormatError(f"bad phase-map entry: {exc}") from None
-    if len(flat) != n**d:
+    if len(flat) != n * n:
         raise MicrostructureFormatError(
-            f"phase map has {len(flat)} entries, expected N^d = {n**d}"
+            f"phase map has {len(flat)} entries, expected N^2 = {n * n}"
         )
-    pm = np.array(flat, dtype=int).reshape((n,) * d)
+    pm = np.array(flat, dtype=int).reshape(n, n)
     unknown = set(np.unique(pm)) - set(phases)
     if unknown:
         raise MicrostructureFormatError(

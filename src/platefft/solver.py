@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .green import FrequencyGrid, GreenOperator
-from .mandel import SymTensor2, mandel_size, trace_dyad
+from .mandel import M, SymTensor2, trace_dyad
 from .microstructure import CoefficientField
 
 STRATEGIES = ("arithmetic", "geometric", "manual")
@@ -92,7 +92,7 @@ class ConvergenceHistory:
 class CellSolution:
     """Converged (or flagged non-converged) corrector state.
 
-    curvature and moment are real grids of Mandel vectors, shape (N, N, m).
+    curvature and moment are real grids of Mandel vectors, shape (N, N, M).
     """
 
     curvature: np.ndarray
@@ -159,7 +159,7 @@ def apriori_bound(field: CoefficientField, ref: ReferenceMedium) -> float:
     factor of the estimate is normalized to 1, so this is a series factor, not
     an error bound.
     """
-    c0 = ref.lambda0 * trace_dyad(field.d)
+    c0 = ref.lambda0 * trace_dyad()
     q = 0.0
     for pid in field.present_phases():
         dc = field.table.phases[pid].mandel_matrix - c0
@@ -175,9 +175,9 @@ class _NeumannStep:
     """
 
     def __init__(self, field: CoefficientField, lambda0: float):
-        self.c0 = lambda0 * trace_dyad(field.d)
+        self.c0 = lambda0 * trace_dyad()
         self.dc = field.mandel_grid() - self.c0
-        self.green = GreenOperator(FrequencyGrid(field.d, field.n), lambda0)
+        self.green = GreenOperator(FrequencyGrid(2, field.n), lambda0)
 
     def __call__(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """dC:E, its half spectrum, and the half spectrum of Gamma*(dC:E)."""
@@ -197,19 +197,16 @@ def solve_cell(
     """
     if config.e0 is None:
         raise ValueError("solver config has no macroscopic curvature e0")
-    if field.d != 2:
-        raise ValueError("the cell solver is two-dimensional")
     n = field.n
     e0 = config.e0.mandel
-    m = e0.shape[0]
     history = ConvergenceHistory()
     if not e0.any():
         # zero load: the unique solution is the zero field
-        zero = np.zeros((n, n, m))
+        zero = np.zeros((n, n, M))
         return CellSolution(zero, zero, config.e0, ref, 0, 0.0, True, history)
 
     step = _NeumannStep(field, ref.lambda0)
-    e = np.broadcast_to(e0, (n, n, m))
+    e = np.broadcast_to(e0, (n, n, M))
     e_hat = step(e)[2]
     # divergent references overflow before their residual turns non-finite and ends the loop
     with np.errstate(over="ignore", invalid="ignore"):
@@ -241,12 +238,10 @@ def estimate_spectral_radius(
     """
     if iterations < 10:
         raise ValueError(f"need at least 10 power iterations, got {iterations}")
-    if field.d != 2:
-        raise ValueError("the estimator is two-dimensional")
     n = field.n
     step = _NeumannStep(field, ref.lambda0)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, n, mandel_size(field.d)))
+    x = rng.standard_normal((n, n, M))
     x -= x.mean(axis=(0, 1))
     x /= math.sqrt(float((x**2).sum(axis=-1).mean()))
     ratios = []

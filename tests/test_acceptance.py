@@ -32,7 +32,7 @@ from platefft.solver import (
     spectral_bound,
 )
 
-ID = StiffTensor4.identity(2)
+ID = StiffTensor4.identity()
 
 
 def verdict(number, ok, text):
@@ -96,7 +96,7 @@ def test_criterion_2_green_projection_identity():
         w_hat = random_w_hat(n, rng, band=12)
         dw = curvature_of(w_hat)
         tr = dw[..., 0] + dw[..., 1]
-        c0_dw = lam0 * tr[..., None] * identity_vector(2)
+        c0_dw = lam0 * tr[..., None] * identity_vector()
         out = gamma_apply(SpectralField.from_real(c0_dw), lam0).to_real()
         worst_pot = max(worst_pot, l2_norm(out + dw) / l2_norm(dw))
         p = rng.standard_normal((n, n, 3))

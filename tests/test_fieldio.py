@@ -40,6 +40,12 @@ class TestErrors:
         with pytest.raises(FieldFormatError, match="component count"):
             read_field(path)
 
+    def test_three_dimensional_field_rejected(self, tmp_path):
+        path = tmp_path / "x.field"
+        path.write_text("plate-field v1 d 3 N 2 m 6\n" + "0 0 0 0 0 0\n" * 8)
+        with pytest.raises(FieldFormatError, match="dimension"):
+            read_field(path)
+
     def test_bad_entry(self, tmp_path):
         path = tmp_path / "x.field"
         path.write_text("plate-field v1 d 2 N 2 m 3\n0 0 0\n0 x 0\n0 0 0\n0 0 0\n")

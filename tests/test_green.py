@@ -51,7 +51,7 @@ def curvature_of(w_hat):
 def reference_times(field_values, lambda0):
     """Pointwise C0 : X = lambda0 * Tr(X) * I."""
     tr = field_values[..., 0] + field_values[..., 1]
-    return lambda0 * tr[..., None] * identity_vector(2)
+    return lambda0 * tr[..., None] * identity_vector()
 
 
 def l2_norm(values):
@@ -128,7 +128,7 @@ def single_mode_oracle(n, lambda0, p_mandel):
 
 class TestGammaSymbol:
     def test_identity_input_unit_frequency(self):
-        out = gamma_symbol([1, 0], 1.0) @ identity_vector(2)
+        out = gamma_symbol([1, 0], 1.0) @ identity_vector()
         np.testing.assert_allclose(out, [-1.0, 0.0, 0.0], atol=1e-15)
 
     def test_solenoidal_single_mode_annihilated(self):
@@ -137,7 +137,7 @@ class TestGammaSymbol:
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_diagonal_frequency_quarter(self):
-        out = gamma_symbol([1, 1], 2.0) @ identity_vector(2)
+        out = gamma_symbol([1, 1], 2.0) @ identity_vector()
         want = -0.25 * np.array([1.0, 1.0, SQRT2])  # -1/4 mandel(n x n)
         np.testing.assert_allclose(out, want, atol=1e-15)
 

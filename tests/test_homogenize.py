@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platefft.homogenize import (
     NonConvergenceError,
@@ -19,12 +21,21 @@ from platefft.microstructure import (
 )
 from platefft.solver import ReferenceMedium, SolverConfig, select_reference, solve_cell
 
-ID = StiffTensor4.identity(2)
+ID = StiffTensor4.identity()
 
 
 def homogenized(field, tol=1e-10, strategy="arithmetic", lambda0=None, max_iter=5000):
     ref = select_reference(field, strategy, lambda0)
     return effective_tensor(field, ref, SolverConfig(tolerance=tol, max_iterations=max_iter))
+
+
+@st.composite
+def scalar_phase_maps(draw):
+    """N = 8 phase maps of 2-3 scalar phases with stiffness in [1, 10] (contrast <= 10)."""
+    stiffness = draw(st.lists(st.floats(1.0, 10.0), min_size=2, max_size=3))
+    ids = draw(st.lists(st.integers(0, len(stiffness) - 1), min_size=64, max_size=64))
+    table = PhaseTable.with_auto_alpha({k: s * ID for k, s in enumerate(stiffness)})
+    return np.array(ids).reshape(8, 8), table
 
 
 class TestHomogeneousExactness:
@@ -150,6 +161,20 @@ class TestInvariants:
         c_a = homogenized(f_a).tensor.mandel_matrix
         c_b = homogenized(f_b).tensor.mandel_matrix
         np.testing.assert_allclose(c_a, c_b, rtol=1e-13)
+
+    @settings(deadline=None, derandomize=True, max_examples=10)
+    @given(scalar_phase_maps(), st.integers(0, 7), st.integers(0, 7))
+    def test_periodic_shift_and_transposition(self, case, s0, s1):
+        pm, table = case
+        c = homogenized(CoefficientField(pm, table), tol=1e-12).tensor.mandel_matrix
+        scale = 1e-10 * np.abs(c).max()
+        shifted = CoefficientField(np.roll(pm, (s0, s1), axis=(0, 1)), table)
+        c_shifted = homogenized(shifted, tol=1e-12).tensor.mandel_matrix
+        np.testing.assert_allclose(c_shifted, c, rtol=0, atol=scale)
+        # mirroring y1 <-> y2 exchanges the Mandel components 11 and 22; 12 is kept
+        c_transposed = homogenized(CoefficientField(pm.T, table), tol=1e-12).tensor.mandel_matrix
+        swap = np.ix_([1, 0, 2], [1, 0, 2])
+        np.testing.assert_allclose(c_transposed, c[swap], rtol=0, atol=scale)
 
     def test_asymmetry_small_at_default_tolerance(self):
         field = generate_inclusion(1.0 * ID, 5.0 * ID, 0.3, 32)

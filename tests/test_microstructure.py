@@ -13,7 +13,7 @@ from platefft.microstructure import (
     save_microstructure,
 )
 
-ID = StiffTensor4.identity(2)
+ID = StiffTensor4.identity()
 
 
 def scalar_phase(mu):
@@ -147,11 +147,6 @@ class TestFieldValidation:
         table = PhaseTable.with_auto_alpha({0: scalar_phase(1.0)})
         with pytest.raises(ValueError, match="unknown phase"):
             CoefficientField(np.array([[0, 7], [0, 0]]), table)
-
-    def test_periodic_lookup(self):
-        f = generate_laminate(scalar_phase(1.0), scalar_phase(2.0), 0.5, 0, 4)
-        assert f.phase_at(0, 0) == f.phase_at(4, 4) == f.phase_at(-4, 8) == 0
-        assert f.phase_at(2, 1) == f.phase_at(6, -3) == 1
 
 
 class TestFileFormat:

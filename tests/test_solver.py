@@ -21,7 +21,7 @@ from platefft.solver import (
     spectral_bound,
 )
 
-ID = StiffTensor4.identity(2)
+ID = StiffTensor4.identity()
 
 
 def scalar_field_values(field):
@@ -198,7 +198,7 @@ class TestSolveCell:
         e0 = np.array([1.0, -0.2, 0.7])
         s = solve(f, e0, tol=1e-300, max_iter=2)
 
-        c0 = ref.lambda0 * trace_dyad(2)
+        c0 = ref.lambda0 * trace_dyad()
         dc = f.mandel_grid() - c0
 
         def apply_b(values):
