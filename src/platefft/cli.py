@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldio import read_field, write_field
+from .fieldio import FLOAT_FMT, read_field, write_field
 from .green import SpectralField, green_evaluate, l2_inner, weyl_decompose
 from .homogenize import (
     NonConvergenceError,
@@ -53,7 +53,7 @@ class ConfigError(ValueError):
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return FLOAT_FMT % x
 
 
 @dataclass
@@ -152,9 +152,10 @@ def build_field(cfg: RunConfig) -> tuple[CoefficientField, str]:
         return field, f"file {cfg.micro_file}"
     if cfg.n is None:
         raise ConfigError("generators require micro.n")
-    a = cfg.alpha * StiffTensor4.identity()
-    b = cfg.beta * StiffTensor4.identity()
     try:
+        # Not alpha * identity: 0 * inf would warn before StiffTensor4 rejects the infinite entry.
+        a = StiffTensor4(np.diag([cfg.alpha] * M))
+        b = StiffTensor4(np.diag([cfg.beta] * M))
         if cfg.generator == "laminate":
             field = generate_laminate(a, b, cfg.fraction, cfg.axis, cfg.n)
             desc = f"laminate alpha {_fmt(cfg.alpha)} beta {_fmt(cfg.beta)} fraction {_fmt(cfg.fraction)} axis {cfg.axis}"
@@ -198,14 +199,13 @@ def _write_text(out: str | None, name: str, lines: list[str], echo: bool = False
             fh.write(text)
 
 
-def _write_history(path, history) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# plate-history v1\n")
-        fh.write("iter,residual,delta,energy\n")
-        for i, r, d, e in zip(
-            history.iterations, history.residuals, history.deltas, history.energies
-        ):
-            fh.write(f"{i},{_fmt(r)},{_fmt(d)},{_fmt(e)}\n")
+def _write_history(out: str, name: str, history) -> None:
+    rows = zip(history.iterations, history.residuals, history.deltas, history.energies)
+    _write_text(out, name, [
+        "# plate-history v1",
+        "iter,residual,delta,energy",
+        *(f"{i},{_fmt(r)},{_fmt(d)},{_fmt(e)}" for i, r, d, e in rows),
+    ])
 
 
 def _series_factor_line(field, ref) -> str:
@@ -229,7 +229,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     write_field(os.path.join(out, "solution_E.field"), solution.curvature)
     write_field(os.path.join(out, "moment_J.field"), solution.moment)
-    _write_history(os.path.join(out, "history.csv"), solution.history)
+    _write_history(out, "history.csv", solution.history)
     lines = [
         "plate-report v1",
         "command solve",
@@ -283,7 +283,7 @@ def cmd_homogenize(cfg: RunConfig, out: str) -> int:
         f"verdict {'bracketed' if verdict.bracketed else 'violated'}",
     ])
     for case in effective.load_cases:
-        _write_history(os.path.join(out, f"history_case{case.index}.csv"), case.history)
+        _write_history(out, f"history_case{case.index}.csv", case.history)
     lines = [
         "plate-report v1",
         "command homogenize",
@@ -347,6 +347,8 @@ def cmd_green(y_text: str, cutoff: int, out: str | None) -> int:
         raise ConfigError(f"bad evaluation point: {exc}") from None
     if y.shape[0] != 2:
         raise ConfigError(f"evaluation point needs 2 coordinates, got {y.shape[0]}")
+    if not np.isfinite(y).all():
+        raise ConfigError(f"evaluation point must be finite, got {y_text!r}")
     if cutoff < 1:
         raise ConfigError(f"cutoff must be >= 1, got {cutoff}")
     value = green_evaluate(y, cutoff)

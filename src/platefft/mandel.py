@@ -151,6 +151,8 @@ class StiffTensor4:
         mat = np.array(self.mandel_matrix, dtype=float)
         if mat.shape != (M, M):
             raise ValueError(f"Mandel matrix must have shape ({M}, {M}), got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("Mandel matrix has non-finite entries")
         scale = max(1.0, float(abs(mat).max()))
         if abs(mat - mat.T).max() > 1e-10 * scale:
             raise ValueError("Mandel matrix is not symmetric (major symmetry violated)")

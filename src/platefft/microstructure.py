@@ -8,10 +8,12 @@ table mapping ids to stiffness tensors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Mapping
 
 import numpy as np
 
+from .fieldio import FLOAT_FMT
 from .mandel import M, StiffTensor4
 
 _FRACTION_TOL = 1e-6
@@ -67,7 +69,7 @@ class CoefficientField:
         n = pm.shape[0]
         if n < 2:
             raise ValueError(f"grid must have N >= 2 points per axis, got {n}")
-        unknown = set(np.unique(pm)) - set(self.table.phases)
+        unknown = set(np.unique(pm).tolist()) - set(self.table.phases)
         if unknown:
             raise ValueError(f"phase map references unknown phase ids {sorted(unknown)}")
         pm.flags.writeable = False
@@ -169,79 +171,61 @@ def generate_inclusion(
     return CoefficientField(pm, _two_phase_table(phase_matrix, phase_inclusion))
 
 
-def _upper_triangle(matrix: np.ndarray) -> list[float]:
-    return [float(matrix[i, j]) for i in range(M) for j in range(i, M)]
-
-
-def _from_upper_triangle(values: list[float]) -> np.ndarray:
-    out = np.zeros((M, M))
-    it = iter(values)
-    for i in range(M):
-        for j in range(i, M):
-            out[i, j] = out[j, i] = next(it)
-    return out
-
-
 def save_microstructure(field: CoefficientField, path) -> None:
     """Write the line-oriented text format (17 significant digits)."""
-    lines = [MICRO_MAGIC]
     ids = sorted(field.table.phases)
-    lines.append(f"d 2 N {field.n} phases {len(ids)}")
-    for pid in ids:
-        tri = _upper_triangle(field.table.phases[pid].mandel_matrix)
-        lines.append("phase " + str(pid) + " " + " ".join(f"{v:.17g}" for v in tri))
-    flat = field.phase_map.reshape(-1)
-    for row in flat.reshape(-1, field.n):
-        lines.append(" ".join(str(int(v)) for v in row))
+    tri = np.stack([field.table.phases[pid].mandel_matrix[np.triu_indices(M)] for pid in ids])
+    # An object column keeps every digit of an id; float64 would round ids beyond 2**53.
+    phase_rows = np.column_stack([np.array(ids, dtype=object), tri])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{MICRO_MAGIC}\nd 2 N {field.n} phases {len(ids)}\n")
+        np.savetxt(fh, phase_rows, fmt="phase %d" + f" {FLOAT_FMT}" * tri.shape[1])
+        np.savetxt(fh, field.phase_map, fmt="%d")
 
 
 def load_microstructure(path) -> CoefficientField:
     """Read a microstructure file; inverse of save_microstructure."""
     with open(path, "r", encoding="utf-8") as fh:
-        tokens_by_line = [line.split() for line in fh]
-    lines = [t for t in tokens_by_line if t]
-    if not lines or " ".join(lines[0]) != MICRO_MAGIC:
-        raise MicrostructureFormatError(f"missing '{MICRO_MAGIC}' header line")
-    header = lines[1] if len(lines) > 1 else []
-    if len(header) != 6 or header[0] != "d" or header[2] != "N" or header[4] != "phases":
-        raise MicrostructureFormatError("malformed size header (expected 'd _ N _ phases _')")
-    try:
-        d, n, n_phases = int(header[1]), int(header[3]), int(header[5])
-    except ValueError as exc:
-        raise MicrostructureFormatError(f"non-integer size header: {exc}") from None
-    if d != 2:
-        raise MicrostructureFormatError(f"unsupported dimension d={d}; platefft is two-dimensional")
-    n_tri = M * (M + 1) // 2
-    phases: dict[int, StiffTensor4] = {}
-    for row in lines[2 : 2 + n_phases]:
-        if len(row) != 2 + n_tri or row[0] != "phase":
-            raise MicrostructureFormatError(
-                f"malformed phase row (expected 'phase <id> <{n_tri} reals>'): {' '.join(row[:3])}..."
-            )
+        lines = filter(None, map(str.split, fh))
+        if next(lines, None) != MICRO_MAGIC.split():
+            raise MicrostructureFormatError(f"missing '{MICRO_MAGIC}' header line")
+        header = next(lines, [])
+        if len(header) != 6 or header[0] != "d" or header[2] != "N" or header[4] != "phases":
+            raise MicrostructureFormatError("malformed size header (expected 'd _ N _ phases _')")
         try:
-            pid = int(row[1])
-            tri = [float(v) for v in row[2:]]
+            d, n, n_phases = int(header[1]), int(header[3]), int(header[5])
         except ValueError as exc:
-            raise MicrostructureFormatError(f"bad phase row: {exc}") from None
-        phases[pid] = StiffTensor4(_from_upper_triangle(tri))
+            raise MicrostructureFormatError(f"non-integer size header: {exc}") from None
+        if d != 2:
+            raise MicrostructureFormatError(f"unsupported dimension d={d}; platefft is two-dimensional")
+        if n_phases < 1:
+            raise MicrostructureFormatError(f"need at least one phase, got phases {n_phases}")
+        upper = np.triu_indices(M)
+        rows = np.array(list(islice(lines, n_phases)), dtype=object)
+        if rows.shape != (n_phases, 2 + len(upper[0])) or (rows[:, 0] != "phase").any():
+            raise MicrostructureFormatError(
+                f"malformed phase rows (expected 'phase <id> <{len(upper[0])} reals>')"
+            )
+        map_tokens = fh.read().split()
+    mats = np.zeros((n_phases, M, M))
+    try:
+        mats[:, upper[0], upper[1]] = mats[:, upper[1], upper[0]] = rows[:, 2:].astype(float)
+        phases = {int(pid): StiffTensor4(mat) for pid, mat in zip(rows[:, 1], mats)}
+    except ValueError as exc:
+        raise MicrostructureFormatError(f"bad phase row: {exc}") from None
     if len(phases) != n_phases:
         raise MicrostructureFormatError("duplicate or missing phase ids")
-    flat: list[int] = []
-    for row in lines[2 + n_phases :]:
-        try:
-            flat.extend(int(v) for v in row)
-        except ValueError as exc:
-            raise MicrostructureFormatError(f"bad phase-map entry: {exc}") from None
-    if len(flat) != n * n:
+    try:
+        flat = np.array(map_tokens, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise MicrostructureFormatError(f"bad phase-map entry: {exc}") from None
+    if flat.size != n * n:
         raise MicrostructureFormatError(
-            f"phase map has {len(flat)} entries, expected N^2 = {n * n}"
+            f"phase map has {flat.size} entries, expected N^2 = {n * n}"
         )
-    pm = np.array(flat, dtype=int).reshape(n, n)
-    unknown = set(np.unique(pm)) - set(phases)
+    unknown = set(np.unique(flat).tolist()) - set(phases)
     if unknown:
         raise MicrostructureFormatError(
             f"phase map references unknown phase ids {sorted(unknown)}"
         )
-    return CoefficientField(pm, PhaseTable.with_auto_alpha(phases))
+    return CoefficientField(flat.reshape(n, n), PhaseTable.with_auto_alpha(phases))

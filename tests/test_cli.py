@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,18 @@ from platefft.green import SpectralField, weyl_decompose
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_rejected(capsys, *argv):
+    """Run the CLI on an input it must reject: exit 1, one `error:` line, no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(*argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert [str(w.message) for w in caught] == []
+    return err
 
 
 def report_dict(path):
@@ -83,6 +96,28 @@ class TestSolveCommand:
         )
         assert code == 1
         assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("setting", ["micro.beta=nan", "micro.beta=inf", "micro.alpha=-inf"])
+    def test_nonfinite_phase_stiffness_exits_1(self, tmp_path, capsys, setting):
+        out = tmp_path / "run"
+        err = run_rejected(
+            capsys, "solve", "--out", str(out), "--set", "micro.generator=chessboard",
+            "--set", "micro.n=8", "--set", setting, "--set", "e0=1,0,0",
+        )
+        assert "non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "phase_row, phase_map",
+        [("phase 0 1 0 0 1 0 1", "0 0 0 99999999999999999999"), ("phase 0 inf 0 0 1 0 1", "0 0 0 0")],
+        ids=["map-entry-beyond-int64", "infinite-phase-row"],
+    )
+    def test_bad_micro_file_exits_1(self, tmp_path, capsys, phase_row, phase_map):
+        micro = tmp_path / "bad.micro"
+        micro.write_text(f"plate-micro v1\nd 2 N 2 phases 1\n{phase_row}\n{phase_map}\n")
+        out = tmp_path / "run"
+        run_rejected(capsys, "solve", "--out", str(out), "--set", f"micro.file={micro}", "--set", "e0=1,0,0")
+        assert not out.exists()
 
     def test_divergent_manual_reference_exits_2_with_flag(self, tmp_path):
         out = tmp_path / "run"
@@ -250,8 +285,25 @@ class TestGreenCommand:
     def test_bad_point_exits_1(self):
         assert run("green", "--y", "0,0,1", "--cutoff", "1") == 1
 
+    @pytest.mark.parametrize("y", ["nan,0", "0.25,inf", "-inf,0.5"])
+    def test_nonfinite_point_exits_1(self, capsys, y):
+        run_rejected(capsys, "green", "--y", y, "--cutoff", "8")
+
 
 class TestDecomposeCommand:
+    @pytest.mark.parametrize(
+        "text",
+        ["plate-field v1 d 2 N 1 m 3\n0 0 0\n", "plate-field v1 d 2 N 2 m 3\n0 0 0\n0 nan 0\n0 0 0\n0 0 0\n",
+         "plate-field v1 d 2 N 2 m 3\n0 0 0\n0 0 0\ninf 0 0\n0 0 -inf\n"],
+        ids=["one-point-grid", "nan-entry", "inf-entries"],
+    )
+    def test_bad_field_exits_1(self, tmp_path, capsys, text):
+        src = tmp_path / "bad.field"
+        src.write_text(text)
+        out = tmp_path / "run"
+        run_rejected(capsys, "decompose", str(src), "--out", str(out))
+        assert not out.exists()
+
     def test_constant_field_has_zero_parts(self, tmp_path, capsys):
         src = tmp_path / "const.field"
         write_field(src, np.ones((8, 8, 3)) * np.array([1.0, 2.0, 3.0]))

@@ -1,7 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from platefft.fieldio import FieldFormatError, read_field, write_field
+
+# Every finite float64, with the edge cases drawn explicitly as well.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+FINITE_FLOATS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def finite_fields(draw):
+    n = draw(st.integers(2, 4))
+    return draw(hnp.arrays(np.float64, (n, n, 3), elements=FINITE_FLOATS))
 
 
 class TestRoundTrip:
@@ -14,11 +30,26 @@ class TestRoundTrip:
         # 17 significant digits round-trip float64 exactly
         np.testing.assert_array_equal(back, values)
 
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(finite_fields())
+    @example(np.array(EDGE_VALUES[:8] * 6).reshape(4, 4, 3))
+    def test_bit_exact_round_trip(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("field") / "field.field"
+        write_field(path, values)
+        back = read_field(path)
+        # compare bit patterns, so that -0.0 must come back as -0.0
+        np.testing.assert_array_equal(back.view(np.int64), values.view(np.int64))
+
     def test_header_line(self, tmp_path):
         path = tmp_path / "field.field"
         write_field(path, np.zeros((4, 4, 3)))
         first = path.read_text().splitlines()[0]
         assert first == "plate-field v1 d 2 N 4 m 3"
+
+    def test_blank_lines_and_free_whitespace_accepted(self, tmp_path):
+        path = tmp_path / "x.field"
+        path.write_text("\n  \nplate-field v1  d 2\tN 2 m 3\n1 2 3\n\n 4\t5  6\n7 8 9\r\n10 11 12")
+        np.testing.assert_array_equal(read_field(path), np.arange(1.0, 13.0).reshape(2, 2, 3))
 
 
 class TestErrors:
@@ -34,6 +65,14 @@ class TestErrors:
         with pytest.raises(FieldFormatError, match="rows"):
             read_field(path)
 
+    def test_header_only_file_reports_zero_rows_without_warning(self, tmp_path):
+        path = tmp_path / "x.field"
+        path.write_text("plate-field v1 d 2 N 2 m 3\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FieldFormatError, match="found 0"):
+                read_field(path)
+
     def test_component_mismatch(self, tmp_path):
         path = tmp_path / "x.field"
         path.write_text("plate-field v1 d 2 N 2 m 4\n" + "0 0 0 0\n" * 4)
@@ -46,10 +85,24 @@ class TestErrors:
         with pytest.raises(FieldFormatError, match="dimension"):
             read_field(path)
 
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_grid_below_two_points_rejected(self, tmp_path, n):
+        path = tmp_path / "x.field"
+        path.write_text(f"plate-field v1 d 2 N {n} m 3\n0 0 0\n")
+        with pytest.raises(FieldFormatError, match="N >= 2"):
+            read_field(path)
+
     def test_bad_entry(self, tmp_path):
         path = tmp_path / "x.field"
         path.write_text("plate-field v1 d 2 N 2 m 3\n0 0 0\n0 x 0\n0 0 0\n0 0 0\n")
         with pytest.raises(FieldFormatError, match="entry"):
+            read_field(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_nonfinite_entry_rejected(self, tmp_path, bad):
+        path = tmp_path / "x.field"
+        path.write_text(f"plate-field v1 d 2 N 2 m 3\n0 0 0\n0 {bad} 0\n0 0 0\n0 0 0\n")
+        with pytest.raises(FieldFormatError, match="non-finite"):
             read_field(path)
 
     def test_mismatched_shape_rejected_on_write(self, tmp_path):

@@ -38,6 +38,18 @@ def scalar_phase_maps(draw):
     return np.array(ids).reshape(8, 8), table
 
 
+@st.composite
+def anisotropic_phase_maps(draw):
+    """N = 8 phase maps of 2-3 anisotropic phases with eigenvalues in [1, 10] (contrast <= 10)."""
+    phases = []
+    for _ in range(draw(st.integers(2, 3))):
+        eig = draw(st.lists(st.floats(1.0, 10.0), min_size=3, max_size=3))
+        q, _ = np.linalg.qr(np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))).reshape(3, 3))
+        phases.append(StiffTensor4(q @ np.diag(eig) @ q.T))
+    ids = draw(st.lists(st.integers(0, len(phases) - 1), min_size=64, max_size=64))
+    return np.array(ids).reshape(8, 8), phases
+
+
 class TestHomogeneousExactness:
     def test_effective_equals_phase_tensor(self):
         rng = np.random.default_rng(8)
@@ -161,6 +173,33 @@ class TestInvariants:
         c_a = homogenized(f_a).tensor.mandel_matrix
         c_b = homogenized(f_b).tensor.mandel_matrix
         np.testing.assert_allclose(c_a, c_b, rtol=1e-13)
+
+    @settings(deadline=None, derandomize=True, max_examples=10)
+    @given(anisotropic_phase_maps())
+    def test_anisotropic_bracketed_and_symmetric(self, case):
+        pm, phases = case
+        field = CoefficientField(pm, PhaseTable.with_auto_alpha(dict(enumerate(phases))))
+        eff = homogenized(field)
+        assert bracket_check(voigt_reuss_bounds(field), eff.tensor).bracketed
+        assert eff.asymmetry <= 1e-8
+
+    @settings(deadline=None, derandomize=True, max_examples=10)
+    @given(anisotropic_phase_maps(), st.randoms(use_true_random=False),
+           st.lists(st.integers(-1000, 1000), min_size=3, max_size=3, unique=True))
+    def test_anisotropic_phase_relabelling(self, case, rnd, new_ids):
+        pm, phases = case
+        c = homogenized(CoefficientField(pm, PhaseTable.with_auto_alpha(dict(enumerate(phases))))).tensor
+        order = list(range(len(phases)))
+        rnd.shuffle(order)
+        # old id k becomes new_ids[k]; the table is built in the shuffled order
+        relabelled = CoefficientField(
+            np.array(new_ids)[pm],
+            PhaseTable.with_auto_alpha({new_ids[k]: phases[k] for k in order}),
+        )
+        c_relabelled = homogenized(relabelled).tensor
+        np.testing.assert_allclose(
+            c_relabelled.mandel_matrix, c.mandel_matrix, rtol=0, atol=1e-13 * c.operator_norm()
+        )
 
     @settings(deadline=None, derandomize=True, max_examples=10)
     @given(scalar_phase_maps(), st.integers(0, 7), st.integers(0, 7))

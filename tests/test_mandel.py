@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,15 @@ class TestConstructors:
         bad = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetr"):
             StiffTensor4(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_matrix_rejected_without_warning(self, bad):
+        mat = np.eye(3)
+        mat[0, 1] = mat[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                StiffTensor4(mat)
 
     def test_basis_tensors(self):
         for k in range(3):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platefft.mandel import StiffTensor4
 from platefft.microstructure import (
@@ -18,6 +20,24 @@ ID = StiffTensor4.identity()
 
 def scalar_phase(mu):
     return mu * ID
+
+
+@st.composite
+def spd_phases(draw):
+    """Mandel matrices Q diag(eig) Q^T with eigenvalues in [0.1, 10] and a random rotation."""
+    eig = draw(st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3))
+    q, _ = np.linalg.qr(np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))).reshape(3, 3))
+    return StiffTensor4(q @ np.diag(eig) @ q.T)
+
+
+@st.composite
+def random_fields(draw):
+    """Fields of 1-3 anisotropic phases with arbitrary, non-contiguous int64 ids."""
+    ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(2, 5))
+    pm = np.array(draw(st.lists(st.sampled_from(ids), min_size=n * n, max_size=n * n)))
+    phases = {pid: draw(spd_phases()) for pid in ids}
+    return CoefficientField(pm.reshape(n, n), PhaseTable.with_auto_alpha(phases))
 
 
 class TestPhaseTable:
@@ -167,6 +187,27 @@ class TestFileFormat:
                 atol=1e-15,
             )
 
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(random_fields())
+    def test_exact_round_trip(self, tmp_path_factory, f):
+        path = tmp_path_factory.mktemp("micro") / "cell.micro"
+        save_microstructure(f, path)
+        g = load_microstructure(path)
+        np.testing.assert_array_equal(g.phase_map, f.phase_map)
+        assert g.table.phases.keys() == f.table.phases.keys()
+        for pid, tensor in f.table.phases.items():
+            np.testing.assert_array_equal(g.table.phases[pid].mandel_matrix, tensor.mandel_matrix)
+        assert g.table.alpha == f.table.alpha
+
+    def test_free_phase_map_layout(self, tmp_path):
+        path = tmp_path / "free.micro"
+        path.write_text(
+            "\nplate-micro v1\n\nd 2 N 2 phases 2\n"
+            "phase 4 1 0 0 1 0 1\nphase 9 2 0 0 2 0 2\n4\n\n9 9   4\n"
+        )
+        f = load_microstructure(path)
+        np.testing.assert_array_equal(f.phase_map, [[4, 9], [9, 4]])
+
     def test_header_magic_required(self, tmp_path):
         path = tmp_path / "bad.micro"
         path.write_text("not-a-micro\nd 2 N 2 phases 1\n")
@@ -192,8 +233,31 @@ class TestFileFormat:
         with pytest.raises(MicrostructureFormatError, match="unknown phase"):
             load_microstructure(path)
 
+    def test_unknown_phase_ids_listed_as_plain_integers(self, tmp_path):
+        path = tmp_path / "orphans.micro"
+        path.write_text("plate-micro v1\nd 2 N 2 phases 1\nphase 0 1 0 0 1 0 1\n0 -3 0 7\n")
+        with pytest.raises(MicrostructureFormatError, match=r"unknown phase ids \[-3, 7\]$"):
+            load_microstructure(path)
+
     def test_malformed_size_header(self, tmp_path):
         path = tmp_path / "hdr.micro"
         path.write_text("plate-micro v1\nd 2 M 4 phases 1\n")
         with pytest.raises(MicrostructureFormatError, match="size header"):
+            load_microstructure(path)
+
+    @pytest.mark.parametrize("entry", ["99999999999999999999", "-9223372036854775809", "1.0", "x"])
+    def test_bad_phase_map_entry(self, tmp_path, entry):
+        path = tmp_path / "entry.micro"
+        path.write_text(f"plate-micro v1\nd 2 N 2 phases 1\nphase 0 1 0 0 1 0 1\n0 0 0 {entry}\n")
+        with pytest.raises(MicrostructureFormatError, match="entry"):
+            load_microstructure(path)
+
+    @pytest.mark.parametrize(
+        "row", ["phase 0 1 0 0 1 0", "phase 0 1 0 0 1 0 1 0", "phasex 0 1 0 0 1 0 1", "phase x 1 0 0 1 0 1",
+                "phase 0 1 0 0 1 0 y", "phase 0 inf 0 0 1 0 1", "phase 0 1 nan 0 1 0 1"],
+    )
+    def test_bad_phase_row(self, tmp_path, row):
+        path = tmp_path / "row.micro"
+        path.write_text(f"plate-micro v1\nd 2 N 2 phases 1\n{row}\n0 0 0 0\n")
+        with pytest.raises(MicrostructureFormatError, match="phase row"):
             load_microstructure(path)
