@@ -43,6 +43,7 @@ from .solver import (
     apriori_bound,
     estimate_spectral_radius,
     select_reference,
+    series_factor,
     solve_cell,
     spectral_bound,
 )
@@ -208,9 +209,14 @@ def _write_history(out: str, name: str, history) -> None:
     ])
 
 
-def _series_factor_line(field, ref) -> str:
-    factor = apriori_bound(field, ref)
-    return "divergent" if math.isinf(factor) else _fmt(factor)
+def _series_factor_lines(field, ref) -> list[str]:
+    """The paper's trace-reference factor, then 1/(1 - q) of the reference lam0 * Id the solver runs.
+
+    q = max |mu - lam0| / lam0 over the eigen-range; under the arithmetic rule it is spectral_bound.
+    """
+    q = max(ref.mu_max - ref.lambda0, ref.lambda0 - ref.mu_min) / ref.lambda0
+    factors = (("series_factor", apriori_bound(field, ref)), ("series_factor_potential", series_factor(q)))
+    return [f"{key} {'divergent' if math.isinf(f) else _fmt(f)}" for key, f in factors]
 
 
 def _reference_lines(ref) -> list[str]:
@@ -242,7 +248,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
         f"converged {'true' if solution.converged else 'false'}",
         f"iterations {solution.iterations}",
         f"residual {_fmt(solution.final_residual)}",
-        f"series_factor {_series_factor_line(field, ref)}",
+        *_series_factor_lines(field, ref),
         f"energy {_fmt(solution.energy())}",
         "mean_moment " + " ".join(_fmt(v) for v in solution.mean_moment().mandel),
     ]
@@ -293,7 +299,7 @@ def cmd_homogenize(cfg: RunConfig, out: str) -> int:
         f"tolerance {_fmt(cfg.tolerance)}",
         f"asymmetry {_fmt(effective.asymmetry)}",
         "iterations " + " ".join(str(c.iterations) for c in effective.load_cases),
-        f"series_factor {_series_factor_line(field, ref)}",
+        *_series_factor_lines(field, ref),
         f"bracketing {'bracketed' if verdict.bracketed else 'violated'}",
     ]
     if cfg.generator == "laminate":
@@ -334,7 +340,7 @@ def cmd_spectrum(cfg: RunConfig, out: str | None) -> int:
     lines += [
         f"estimate {_fmt(estimate)}",
         f"seed {cfg.seed}",
-        f"series_factor {_series_factor_line(field, ref)}",
+        *_series_factor_lines(field, ref),
     ]
     _write_text(out, "spectrum.txt", lines, echo=True)
     return 0

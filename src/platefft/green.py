@@ -1,5 +1,5 @@
 """Fourier-space machinery: the periodic biharmonic fundamental solution, the
-Green operator of the scalar (trace) reference medium, the solenoidal/potential
+Green operator of the reference medium lam0 * Id, the solenoidal/potential
 splitting of tensor fields, and lattice Sobolev partial sums.
 
 Conventions
@@ -10,13 +10,15 @@ forward DFT (numpy.fft.fftn) with the 1/N^2 factor on the inverse; all
 contracts below compare transformed quantities with transformed quantities,
 so they are independent of that scaling.
 
-For the reference medium acting as xi -> lam0 * Tr(xi) * I, the Green operator
-mapping polarizations to curvature corrections is the frequency multiplier
+The Green operator maps polarizations to curvature corrections through the
+frequency multiplier
 
     P_hat  ->  -(n (x) n) (n . P_hat . n) / (lam0 |n|^4),    n != 0,
 
 i.e. -1/lam0 times the orthogonal projector onto the potential direction
-mandel(n (x) n).  The zero frequency is annihilated (zero-mean convention).
+mandel(n (x) n): the Green operator of lam0 * Lap^2, which both C0 = lam0 * Id
+and the paper's trace reference xi -> lam0 * Tr(xi) * I give.  The zero
+frequency is annihilated (zero-mean convention).
 
 On grids with even N the Nyquist rows (any frequency component equal to -N/2)
 are deactivated in the grid operator: -N/2 and +N/2 alias to the same stored
@@ -151,12 +153,6 @@ class SpectralField:
         """Mean value of the field (zero-frequency coefficient / N^2)."""
         return SymTensor2(np.real(self.coeffs[0, 0]) / self.n**2)
 
-    def conjugate_asymmetry(self) -> float:
-        """Largest imaginary part of the real-space representation, relative."""
-        back = np.fft.ifftn(self.coeffs, axes=(0, 1))
-        scale = max(float(np.abs(back).max()), 1e-300)
-        return float(np.abs(back.imag).max() / scale)
-
 
 def l2_inner(a: SpectralField, b: SpectralField) -> float:
     """L2(Y') inner product <a : b> of two real fields via the Parseval sum."""
@@ -166,10 +162,10 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
     return float(total.real) / a.n**4
 
 
-def _gamma_multiply(coeffs: np.ndarray, nn: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The Green-operator symbol per mode, with scale = -1/(lam0 |n|^4) or 0 if inactive."""
+def _gamma_multiply(coeffs: np.ndarray, nn: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Green-operator symbol per mode, scale = -1/(lam0 |n|^4) or 0 if inactive, and s = n.P_hat.n."""
     s = (nn * coeffs).sum(axis=-1)
-    return nn * (s * scale)[..., None]
+    return nn * (s * scale)[..., None], s
 
 
 def apply_gamma_coeffs(p_hat: np.ndarray, grid: FrequencyGrid, lambda0: float) -> np.ndarray:
@@ -179,7 +175,7 @@ def apply_gamma_coeffs(p_hat: np.ndarray, grid: FrequencyGrid, lambda0: float) -
     """
     if lambda0 <= 0:
         raise ValueError(f"reference coefficient must be positive, got {lambda0}")
-    return _gamma_multiply(p_hat, grid.mandel_nn, grid.inv_norm4 * (-1.0 / lambda0))
+    return _gamma_multiply(p_hat, grid.mandel_nn, grid.inv_norm4 * (-1.0 / lambda0))[0]
 
 
 def gamma_apply(field: SpectralField, lambda0: float) -> SpectralField:
@@ -220,15 +216,14 @@ class GreenOperator:
         """Real (N, N, M) field with the given half spectrum."""
         return np.fft.irfftn(coeffs, s=(self.n, self.n), axes=(0, 1))
 
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        """Half spectrum of Gamma * P, from the half spectrum of P."""
+    def apply(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Half spectrum of Gamma * P and the scalars s = n . P_hat . n, from the half spectrum of P."""
         return _gamma_multiply(coeffs, self.nn, self.scale)
 
-    def equilibrium_residual(self, j_hat: np.ndarray) -> float:
-        """sqrt(sum over active n of |n.J_hat.n|^2) / |J_hat(0)|, from the half spectrum of J."""
-        s = (self.nn * j_hat).sum(axis=-1)
-        num = math.sqrt(float((self.weights * (s.real**2 + s.imag**2)).sum()))
-        den = float(np.linalg.norm(j_hat[0, 0]))
+    def equilibrium_residual(self, ds: np.ndarray, j0: np.ndarray) -> float:
+        """sqrt(sum over active n of |n.J_hat.n|^2) / |J_hat(0)|, from ds = n.J_hat.n and j0 = J_hat(0)."""
+        num = math.sqrt(float((self.weights * (ds.real**2 + ds.imag**2)).sum()))
+        den = float(np.linalg.norm(j0))
         if den == 0.0:
             return 0.0 if num == 0.0 else math.inf
         return num / den

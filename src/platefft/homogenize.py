@@ -48,7 +48,6 @@ class BoundsReport:
 
     voigt: StiffTensor4
     reuss: StiffTensor4
-    gap_eigenvalues: np.ndarray  # eigenvalues of voigt - reuss, ascending
     ordered: bool
 
 
@@ -103,7 +102,7 @@ def voigt_reuss_bounds(field: CoefficientField) -> BoundsReport:
     voigt_t = StiffTensor4(voigt)
     reuss_t = StiffTensor4(reuss_inv).inverse()
     gap = np.linalg.eigvalsh(voigt_t.mandel_matrix - reuss_t.mandel_matrix)
-    return BoundsReport(voigt_t, reuss_t, gap, bool(gap.min() >= -1e-10))
+    return BoundsReport(voigt_t, reuss_t, bool(gap.min() >= -1e-10))
 
 
 def bracket_check(

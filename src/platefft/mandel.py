@@ -20,8 +20,6 @@ SQRT2 = float(np.sqrt(2.0))
 _PAIRS = ((0, 0), (1, 1), (0, 1))
 M = len(_PAIRS)
 
-_SYM_TOL = 1e-12
-
 
 class SingularTensorError(ValueError):
     """Raised when a stiffness tensor has no usable inverse."""
@@ -109,25 +107,11 @@ class SymTensor2:
         object.__setattr__(self, "mandel", vec)
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "SymTensor2":
-        matrix = np.asarray(matrix, dtype=float)
-        if not np.allclose(matrix, matrix.T, rtol=0, atol=_SYM_TOL * max(1.0, abs(matrix).max())):
-            raise ValueError("matrix is not symmetric")
-        return cls(sym_to_mandel(matrix))
-
-    @classmethod
     def basis(cls, index: int) -> "SymTensor2":
         """k-th Mandel basis tensor (unit Mandel vector)."""
         v = np.zeros(M)
         v[index] = 1.0
         return cls(v)
-
-    def to_matrix(self) -> np.ndarray:
-        return mandel_to_sym(self.mandel)
-
-    def inner(self, other: "SymTensor2") -> float:
-        """Full double contraction a_ij b_ij (= Mandel dot product)."""
-        return float(self.mandel @ other.mandel)
 
     def __add__(self, other: "SymTensor2") -> "SymTensor2":
         return SymTensor2(self.mandel + other.mandel)
@@ -161,10 +145,6 @@ class StiffTensor4:
         object.__setattr__(self, "mandel_matrix", mat)
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "StiffTensor4":
-        return cls(stiff_to_mandel(dense))
-
-    @classmethod
     def identity(cls) -> "StiffTensor4":
         """Symmetric fourth-order identity: C:e = e for every symmetric e."""
         return cls(np.eye(M))
@@ -189,11 +169,6 @@ class StiffTensor4:
     def operator_norm(self) -> float:
         """Spectral norm max |eigenvalue| of the Mandel matrix."""
         return float(np.abs(self.eigenvalues()).max())
-
-    def is_elliptic(self, alpha: float, tol: float = 1e-12) -> bool:
-        """All eigenvalues within [alpha, 1/alpha] up to tol."""
-        eig = self.eigenvalues()
-        return bool(eig[0] >= alpha - tol and eig[-1] <= 1.0 / alpha + tol)
 
     def __add__(self, other: "StiffTensor4") -> "StiffTensor4":
         return StiffTensor4(self.mandel_matrix + other.mandel_matrix)

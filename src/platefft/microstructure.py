@@ -27,32 +27,17 @@ class MicrostructureFormatError(ValueError):
 
 @dataclass(frozen=True)
 class PhaseTable:
-    """Map from phase id to stiffness tensor, with a declared ellipticity constant."""
+    """Map from phase id to a positive definite stiffness tensor."""
 
     phases: Mapping[int, StiffTensor4]
-    alpha: float
 
     def __post_init__(self):
         phases = dict(self.phases)
         if not phases:
             raise ValueError("phase table must contain at least one phase")
-        if not self.alpha > 0:
-            raise ValueError(f"ellipticity constant must be positive, got {self.alpha}")
-        for pid, tensor in phases.items():
-            if not tensor.is_elliptic(self.alpha):
-                raise ValueError(
-                    f"phase {pid} violates the ellipticity bounds "
-                    f"[{self.alpha}, {1.0 / self.alpha}]"
-                )
-        object.__setattr__(self, "phases", phases)
-
-    @classmethod
-    def with_auto_alpha(cls, phases: Mapping[int, StiffTensor4]) -> "PhaseTable":
-        """Declare the largest alpha consistent with the given phases."""
-        eigs = np.concatenate([t.eigenvalues() for t in phases.values()])
-        if eigs.min() <= 0:
+        if min(t.eigenvalues()[0] for t in phases.values()) <= 0:
             raise ValueError("phases must be positive definite")
-        return cls(phases, min(eigs.min(), 1.0 / eigs.max()))
+        object.__setattr__(self, "phases", phases)
 
 
 @dataclass(frozen=True)
@@ -101,10 +86,6 @@ class CoefficientField:
         return float(eigs.min()), float(eigs.max())
 
 
-def _two_phase_table(phase_a: StiffTensor4, phase_b: StiffTensor4) -> PhaseTable:
-    return PhaseTable.with_auto_alpha({0: phase_a, 1: phase_b})
-
-
 def generate_laminate(
     phase_a: StiffTensor4,
     phase_b: StiffTensor4,
@@ -135,7 +116,7 @@ def generate_laminate(
         pm[:k, :] = 0
     else:
         pm[:, :k] = 0
-    return CoefficientField(pm, _two_phase_table(phase_a, phase_b))
+    return CoefficientField(pm, PhaseTable({0: phase_a, 1: phase_b}))
 
 
 def generate_chessboard(
@@ -146,7 +127,7 @@ def generate_chessboard(
         raise ValueError(f"chessboard requires an even N >= 2, got {n}")
     i = np.arange(n)
     parity = (2 * i[:, None] // n + 2 * i[None, :] // n) % 2
-    return CoefficientField(parity.astype(int), _two_phase_table(phase_a, phase_b))
+    return CoefficientField(parity.astype(int), PhaseTable({0: phase_a, 1: phase_b}))
 
 
 def generate_inclusion(
@@ -168,7 +149,7 @@ def generate_inclusion(
     y -= np.rint(y)  # periodic image nearest to the center
     dist2 = y[:, None] ** 2 + y[None, :] ** 2
     pm = (dist2 < radius**2).astype(int)
-    return CoefficientField(pm, _two_phase_table(phase_matrix, phase_inclusion))
+    return CoefficientField(pm, PhaseTable({0: phase_matrix, 1: phase_inclusion}))
 
 
 def save_microstructure(field: CoefficientField, path) -> None:
@@ -228,4 +209,4 @@ def load_microstructure(path) -> CoefficientField:
         raise MicrostructureFormatError(
             f"phase map references unknown phase ids {sorted(unknown)}"
         )
-    return CoefficientField(flat.reshape(n, n), PhaseTable.with_auto_alpha(phases))
+    return CoefficientField(flat.reshape(n, n), PhaseTable(phases))

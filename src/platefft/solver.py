@@ -1,24 +1,25 @@
 """Operator-perturbation cell solver.
 
-The periodic bending problem D*(C(y):(E0 + Dw)) = 0 is rewritten around a
-constant scalar reference medium acting as xi -> lam0 * Tr(xi) * I and solved
-by the fixed point
+The periodic bending problem D*(C(y):(E0 + Dw)) = 0 is rewritten around the
+constant reference medium C0 = lam0 * Id and solved by the fixed point
 
     E_{k+1} = E0 + Gamma * (dC : E_k),        dC(y) = C(y) - C0,
 
 whose iterates are the partial sums of the Neumann series of the resolvent
-(I - Gamma dC)^-1 E0.  Gamma annihilates means, so <E_k> = E0 at every step.
-Convergence is monitored through the equilibrium residual, the discrete form
-of D*(C:E) = 0:
+(I - Gamma dC)^-1 E0.  Gamma is the Green operator of lam0 * Lap^2, as for the
+paper's trace reference xi -> lam0 * Tr(xi) * I, which gives the same iterates.
+Gamma annihilates means, so <E_k> = E0 at every step.  Convergence is monitored
+through the equilibrium residual, the discrete form of D*(C:E) = 0:
 
     residual = sqrt( sum_{n != 0} |n . J_hat(n) . n|^2 ) / |J_hat(0)|,
 
 with J = C:E and the sum restricted to unambiguous frequencies (on even grids
 the Nyquist rows are excluded, matching the modes the grid operator resolves).
 
-An iteration costs two real FFTs (rfftn of p = dC:E, irfftn of Gamma's output).
-As C:E = p + lam0 Tr(E) I, the residual is taken from J_hat = p_hat + lam0 Tr(E_hat) I,
-reusing the p_hat that the next iteration needs anyway; dC is the only coefficient grid.
+An iteration costs two real FFTs and Gamma's one contraction s = n . p_hat . n of
+p = dC:E.  As n . J_hat_{k+1} . n = s_{k+1} - s_k on the active modes, the residual
+comes from Gamma's scalars.  The reports' series_factor (apriori_bound) is the
+paper's trace-reference estimate.
 """
 from __future__ import annotations
 
@@ -175,15 +176,19 @@ class _NeumannStep:
     """
 
     def __init__(self, field: CoefficientField, lambda0: float):
-        self.c0 = lambda0 * trace_dyad()
-        self.dc = field.mandel_grid() - self.c0
+        self.dc = field.mandel_grid() - lambda0 * np.eye(M)
         self.green = GreenOperator(FrequencyGrid(2, field.n), lambda0)
 
-    def __call__(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """dC:E, its half spectrum, and the half spectrum of Gamma*(dC:E)."""
+    def __call__(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """dC:E, its spectrum's mean mode (copied: a view keeps the spectrum alive), Gamma's output and s."""
         p = np.einsum("xyab,xyb->xya", self.dc, e)
         p_hat = self.green.forward(p)
-        return p, p_hat, self.green.apply(p_hat)
+        return p, p_hat[0, 0].copy(), *self.green.apply(p_hat)
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """<a : b> summed over a real grid; einsum, as BLAS dot threads would spin through the loop."""
+    return float(np.einsum("xya,xya->", a, b))
 
 
 def solve_cell(
@@ -205,26 +210,26 @@ def solve_cell(
         zero = np.zeros((n, n, M))
         return CellSolution(zero, zero, config.e0, ref, 0, 0.0, True, history)
 
-    step = _NeumannStep(field, ref.lambda0)
+    lam = ref.lambda0
+    step = _NeumannStep(field, lam)
     e = np.broadcast_to(e0, (n, n, M))
-    e_hat = step(e)[2]
+    _, _, e_hat, s = step(e)
     # divergent references overflow before their residual turns non-finite and ends the loop
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, config.max_iterations + 1):
             e_hat[0, 0] = n * n * e0  # Gamma zeroes the mean mode; E0 fills it
             e_new = step.green.inverse(e_hat)
-            p, p_hat, gamma_hat = step(e_new)
-            # C:E = dC:E + C0:E, so J_hat reuses p_hat instead of a third FFT
-            j = p + e_new @ step.c0
-            residual = step.green.equilibrium_residual(p_hat + e_hat @ step.c0)
-            delta = math.sqrt(float(((e_new - e) ** 2).sum(axis=-1).mean()))
-            energy = float((e_new * j).sum(axis=-1).mean())
+            p, p_hat0, gamma_hat, s_new = step(e_new)
+            residual = step.green.equilibrium_residual(s_new - s, p_hat0 + n * n * lam * e0)
+            d = e_new - e
+            delta = math.sqrt(_inner(d, d) / (n * n))
+            energy = (_inner(e_new, p) + lam * _inner(e_new, e_new)) / (n * n)
             history.append(k, residual, delta, energy)
-            e, e_hat = e_new, gamma_hat
+            e, e_hat, s = e_new, gamma_hat, s_new
             if residual <= config.tolerance or not math.isfinite(residual):
                 break
-    converged = residual <= config.tolerance
-    return CellSolution(e, j, config.e0, ref, k, residual, converged, history)
+        converged = residual <= config.tolerance
+        return CellSolution(e, p + lam * e, config.e0, ref, k, residual, converged, history)
 
 
 def estimate_spectral_radius(
@@ -243,11 +248,11 @@ def estimate_spectral_radius(
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, n, M))
     x -= x.mean(axis=(0, 1))
-    x /= math.sqrt(float((x**2).sum(axis=-1).mean()))
+    x /= math.sqrt(_inner(x, x) / (n * n))
     ratios = []
     for _ in range(iterations):
         y = -step.green.inverse(step(x)[2])
-        r = math.sqrt(float((y**2).sum(axis=-1).mean()))
+        r = math.sqrt(_inner(y, y) / (n * n))
         if r < 1e-13:
             return 0.0
         ratios.append(r)

@@ -133,6 +133,49 @@ class TestSolveCommand:
         assert report["converged"] == "false"
         assert report["series_factor"] == "divergent"
 
+    def test_series_factor_potential_next_to_trace_factor(self, tmp_path, capsys):
+        # series_factor is the paper's trace-reference estimate and reads divergent for every
+        # arithmetic run; series_factor_potential is the one of the lam0 * Id reference the solver runs
+        cell = ["--set", "micro.generator=chessboard", "--set", "micro.alpha=1",
+                "--set", "micro.beta=3", "--set", "micro.n=8"]
+        assert run("solve", "--out", str(tmp_path / "solve"), *cell, "--set", "e0=1,0,0") == 0
+        report = report_dict(tmp_path / "solve" / "report.txt")
+        keys = list(report)
+        assert keys.index("series_factor_potential") == keys.index("series_factor") + 1
+        assert report["series_factor"] == "divergent"
+        want = 1.0 / (1.0 - float(report["spectral_bound"]))
+        assert float(report["series_factor_potential"]) == pytest.approx(want, rel=1e-14)
+        assert run("homogenize", "--out", str(tmp_path / "hom"), *cell) == 0
+        assert run("spectrum", "--out", str(tmp_path / "spec"), *cell) == 0
+        for path in (tmp_path / "hom" / "report.txt", tmp_path / "spec" / "spectrum.txt"):
+            assert report_dict(path)["series_factor_potential"] == report["series_factor_potential"]
+
+    def test_series_factor_potential_divergent_for_geometric_contrast_100(self, tmp_path):
+        out = tmp_path / "run"
+        code = run(
+            "solve", "--out", str(out),
+            "--set", "micro.generator=inclusion", "--set", "micro.alpha=1",
+            "--set", "micro.beta=100", "--set", "micro.n=16",
+            "--set", "reference.strategy=geometric",
+            "--set", "solver.max_iterations=20", "--set", "e0=1,0,0",
+        )
+        assert code == 2
+        report = report_dict(out / "report.txt")
+        assert report["series_factor"] == report["series_factor_potential"] == "divergent"
+
+    @pytest.mark.parametrize("source", ["generator", "file"])
+    def test_non_positive_definite_phase_exits_1(self, tmp_path, capsys, source):
+        if source == "generator":
+            micro = ["--set", "micro.generator=chessboard", "--set", "micro.n=8", "--set", "micro.alpha=-1"]
+        else:
+            path = tmp_path / "indefinite.micro"
+            path.write_text("plate-micro v1\nd 2 N 2 phases 1\nphase 0 1 0 0 -1 0 1\n0 0 0 0\n")
+            micro = ["--set", f"micro.file={path}"]
+        out = tmp_path / "run"
+        err = run_rejected(capsys, "solve", "--out", str(out), *micro, "--set", "e0=1,0,0")
+        assert "phases must be positive definite" in err
+        assert not out.exists()
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

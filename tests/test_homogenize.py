@@ -34,7 +34,7 @@ def scalar_phase_maps(draw):
     """N = 8 phase maps of 2-3 scalar phases with stiffness in [1, 10] (contrast <= 10)."""
     stiffness = draw(st.lists(st.floats(1.0, 10.0), min_size=2, max_size=3))
     ids = draw(st.lists(st.integers(0, len(stiffness) - 1), min_size=64, max_size=64))
-    table = PhaseTable.with_auto_alpha({k: s * ID for k, s in enumerate(stiffness)})
+    table = PhaseTable({k: s * ID for k, s in enumerate(stiffness)})
     return np.array(ids).reshape(8, 8), table
 
 
@@ -104,7 +104,7 @@ class TestVoigtReuss:
     def test_three_phase_dense_averaging_oracle(self):
         rng = np.random.default_rng(5)
         diags = [np.diag(rng.uniform(0.5, 4.0, size=3)) for _ in range(3)]
-        table = PhaseTable.with_auto_alpha({k: StiffTensor4(d) for k, d in enumerate(diags)})
+        table = PhaseTable({k: StiffTensor4(d) for k, d in enumerate(diags)})
         pm = np.zeros((6, 6), dtype=int)
         pm[2:, :] = 1
         pm[4:, :] = 2  # fractions 1/3 each
@@ -164,8 +164,8 @@ class TestInvariants:
         np.testing.assert_allclose(c2, 2.0 * c1, rtol=1e-10)
 
     def test_phase_relabeling_invariance(self):
-        table_a = PhaseTable.with_auto_alpha({0: 1.0 * ID, 1: 3.0 * ID})
-        table_b = PhaseTable.with_auto_alpha({5: 1.0 * ID, 2: 3.0 * ID})
+        table_a = PhaseTable({0: 1.0 * ID, 1: 3.0 * ID})
+        table_b = PhaseTable({5: 1.0 * ID, 2: 3.0 * ID})
         pm = generate_chessboard(1.0 * ID, 3.0 * ID, 16).phase_map
         relabeled = np.where(pm == 0, 5, 2)
         f_a = CoefficientField(pm, table_a)
@@ -178,7 +178,7 @@ class TestInvariants:
     @given(anisotropic_phase_maps())
     def test_anisotropic_bracketed_and_symmetric(self, case):
         pm, phases = case
-        field = CoefficientField(pm, PhaseTable.with_auto_alpha(dict(enumerate(phases))))
+        field = CoefficientField(pm, PhaseTable(dict(enumerate(phases))))
         eff = homogenized(field)
         assert bracket_check(voigt_reuss_bounds(field), eff.tensor).bracketed
         assert eff.asymmetry <= 1e-8
@@ -188,13 +188,13 @@ class TestInvariants:
            st.lists(st.integers(-1000, 1000), min_size=3, max_size=3, unique=True))
     def test_anisotropic_phase_relabelling(self, case, rnd, new_ids):
         pm, phases = case
-        c = homogenized(CoefficientField(pm, PhaseTable.with_auto_alpha(dict(enumerate(phases))))).tensor
+        c = homogenized(CoefficientField(pm, PhaseTable(dict(enumerate(phases))))).tensor
         order = list(range(len(phases)))
         rnd.shuffle(order)
         # old id k becomes new_ids[k]; the table is built in the shuffled order
         relabelled = CoefficientField(
             np.array(new_ids)[pm],
-            PhaseTable.with_auto_alpha({new_ids[k]: phases[k] for k in order}),
+            PhaseTable({new_ids[k]: phases[k] for k in order}),
         )
         c_relabelled = homogenized(relabelled).tensor
         np.testing.assert_allclose(

@@ -37,23 +37,18 @@ def random_fields(draw):
     n = draw(st.integers(2, 5))
     pm = np.array(draw(st.lists(st.sampled_from(ids), min_size=n * n, max_size=n * n)))
     phases = {pid: draw(spd_phases()) for pid in ids}
-    return CoefficientField(pm.reshape(n, n), PhaseTable.with_auto_alpha(phases))
+    return CoefficientField(pm.reshape(n, n), PhaseTable(phases))
 
 
 class TestPhaseTable:
     def test_requires_phase(self):
         with pytest.raises(ValueError, match="at least one"):
-            PhaseTable({}, 1.0)
+            PhaseTable({})
 
-    def test_ellipticity_violation_rejected(self):
-        with pytest.raises(ValueError, match="ellipticity"):
-            PhaseTable({0: scalar_phase(3.0)}, alpha=0.5)  # 3 > 1/0.5
-
-    def test_auto_alpha(self):
-        table = PhaseTable.with_auto_alpha({0: scalar_phase(1.0), 1: scalar_phase(3.0)})
-        assert table.alpha == pytest.approx(1.0 / 3.0)
-        for t in table.phases.values():
-            assert t.is_elliptic(table.alpha)
+    @pytest.mark.parametrize("eig", [(1.0, 2.0, 0.0), (1.0, -0.5, 3.0)], ids=["singular", "indefinite"])
+    def test_non_positive_definite_rejected(self, eig):
+        with pytest.raises(ValueError, match="phases must be positive definite"):
+            PhaseTable({0: scalar_phase(1.0), 1: StiffTensor4(np.diag(eig))})
 
 
 class TestLaminate:
@@ -150,21 +145,16 @@ class TestEigenRange:
         assert f.eigen_range() == (1.0, 6.0)
 
     def test_absent_phase_ignored(self):
-        table = PhaseTable.with_auto_alpha(
+        table = PhaseTable(
             {0: scalar_phase(1.0), 1: scalar_phase(2.0), 7: scalar_phase(9.0)}
         )
         f = CoefficientField(np.zeros((4, 4), dtype=int), table)
         assert f.eigen_range() == (1.0, 1.0)
 
-    def test_range_within_declared_ellipticity(self):
-        f = generate_chessboard(scalar_phase(0.5), scalar_phase(2.0), 4)
-        lo, hi = f.eigen_range()
-        assert f.table.alpha - 1e-15 <= lo <= hi <= 1.0 / f.table.alpha + 1e-15
-
 
 class TestFieldValidation:
     def test_unknown_phase_in_map(self):
-        table = PhaseTable.with_auto_alpha({0: scalar_phase(1.0)})
+        table = PhaseTable({0: scalar_phase(1.0)})
         with pytest.raises(ValueError, match="unknown phase"):
             CoefficientField(np.array([[0, 7], [0, 0]]), table)
 
@@ -197,7 +187,6 @@ class TestFileFormat:
         assert g.table.phases.keys() == f.table.phases.keys()
         for pid, tensor in f.table.phases.items():
             np.testing.assert_array_equal(g.table.phases[pid].mandel_matrix, tensor.mandel_matrix)
-        assert g.table.alpha == f.table.alpha
 
     def test_free_phase_map_layout(self, tmp_path):
         path = tmp_path / "free.micro"
