@@ -6,7 +6,10 @@ every artifact starts with a one-line versioned format header and is written
 with full (17 significant digit) precision, so identical configurations and
 seeds reproduce byte-identical outputs.
 
-Exit codes: 0 success, 1 usage/config error, 2 non-convergence.
+Exit codes: 0 success, 2 non-convergence, 1 any other error: a bad option,
+config, microstructure or field, an unreadable input or an unwritable --out.
+`main` is the one place that turns an error into exit 1: every ValueError or
+OSError ends there as a one-line `error: ...` on stderr.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ from .homogenize import (
 from .mandel import M, StiffTensor4, SymTensor2
 from .microstructure import (
     CoefficientField,
-    MicrostructureFormatError,
     generate_chessboard,
     generate_inclusion,
     generate_laminate,
@@ -79,7 +81,7 @@ class RunConfig:
 def _parse_e0(text: str) -> tuple[float, ...]:
     parts = text.replace(",", " ").split()
     if len(parts) != 3:
-        raise ConfigError(f"e0 needs 3 Mandel components, got {len(parts)}")
+        raise ValueError(f"needs 3 Mandel components, got {len(parts)}")
     return tuple(float(p) for p in parts)
 
 
@@ -109,8 +111,6 @@ def _assign(cfg: RunConfig, key: str, value: str) -> None:
     attr, parser = _KEYS[key]
     try:
         setattr(cfg, attr, parser(value.strip()))
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from None
 
@@ -121,7 +121,7 @@ def load_run_config(path: str | None, sets: list[str], seed: int | None) -> RunC
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         for lineno, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
@@ -148,45 +148,26 @@ def build_field(cfg: RunConfig) -> tuple[CoefficientField, str]:
     if cfg.micro_file is not None:
         try:
             field = load_microstructure(cfg.micro_file)
-        except (OSError, MicrostructureFormatError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load microstructure: {exc}") from None
         return field, f"file {cfg.micro_file}"
     if cfg.n is None:
         raise ConfigError("generators require micro.n")
-    try:
-        # Not alpha * identity: 0 * inf would warn before StiffTensor4 rejects the infinite entry.
-        a = StiffTensor4(np.diag([cfg.alpha] * M))
-        b = StiffTensor4(np.diag([cfg.beta] * M))
-        if cfg.generator == "laminate":
-            field = generate_laminate(a, b, cfg.fraction, cfg.axis, cfg.n)
-            desc = f"laminate alpha {_fmt(cfg.alpha)} beta {_fmt(cfg.beta)} fraction {_fmt(cfg.fraction)} axis {cfg.axis}"
-        elif cfg.generator == "chessboard":
-            field = generate_chessboard(a, b, cfg.n)
-            desc = f"chessboard alpha {_fmt(cfg.alpha)} beta {_fmt(cfg.beta)}"
-        elif cfg.generator == "inclusion":
-            field = generate_inclusion(a, b, cfg.radius, cfg.n)
-            desc = f"inclusion alpha {_fmt(cfg.alpha)} beta {_fmt(cfg.beta)} radius {_fmt(cfg.radius)}"
-        else:
-            raise ConfigError(f"unknown generator {cfg.generator!r}")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    # Not alpha * identity: 0 * inf would warn before StiffTensor4 rejects the infinite entry.
+    a = StiffTensor4(np.diag([cfg.alpha] * M))
+    b = StiffTensor4(np.diag([cfg.beta] * M))
+    if cfg.generator == "laminate":
+        field = generate_laminate(a, b, cfg.fraction, cfg.axis, cfg.n)
+        desc = f"laminate alpha {_fmt(cfg.alpha)} beta {_fmt(cfg.beta)} fraction {_fmt(cfg.fraction)} axis {cfg.axis}"
+    elif cfg.generator == "chessboard":
+        field = generate_chessboard(a, b, cfg.n)
+        desc = f"chessboard alpha {_fmt(cfg.alpha)} beta {_fmt(cfg.beta)}"
+    elif cfg.generator == "inclusion":
+        field = generate_inclusion(a, b, cfg.radius, cfg.n)
+        desc = f"inclusion alpha {_fmt(cfg.alpha)} beta {_fmt(cfg.beta)} radius {_fmt(cfg.radius)}"
+    else:
+        raise ConfigError(f"unknown generator {cfg.generator!r}")
     return field, desc
-
-
-def _reference(cfg: RunConfig, field: CoefficientField):
-    try:
-        return select_reference(field, cfg.strategy, cfg.lambda0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _solver_config(cfg: RunConfig, e0: SymTensor2 | None) -> SolverConfig:
-    try:
-        return SolverConfig(e0=e0, tolerance=cfg.tolerance, max_iterations=cfg.max_iterations)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _write_text(out: str | None, name: str, lines: list[str], echo: bool = False) -> None:
@@ -226,12 +207,20 @@ def _reference_lines(ref) -> list[str]:
     ]
 
 
+def _bound_lines(key: str, ref) -> list[str]:
+    """The spectral_bound line of the arithmetic rule; the other rules claim no bound."""
+    if ref.strategy != "arithmetic":
+        return []
+    return [f"{key} {_fmt(spectral_bound(ref.mu_min, ref.mu_max))}"]
+
+
 def cmd_solve(cfg: RunConfig, out: str) -> int:
     field, desc = build_field(cfg)
     if cfg.e0 is None:
         raise ConfigError("solve requires e0")
-    ref = _reference(cfg, field)
-    solution = solve_cell(field, ref, _solver_config(cfg, SymTensor2(np.array(cfg.e0))))
+    ref = select_reference(field, cfg.strategy, cfg.lambda0)
+    config = SolverConfig(SymTensor2(np.array(cfg.e0)), cfg.tolerance, cfg.max_iterations)
+    solution = solve_cell(field, ref, config)
     os.makedirs(out, exist_ok=True)
     write_field(os.path.join(out, "solution_E.field"), solution.curvature)
     write_field(os.path.join(out, "moment_J.field"), solution.moment)
@@ -242,6 +231,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
         f"microstructure {desc}",
         f"d 2 N {field.n}",
         *_reference_lines(ref),
+        *_bound_lines("spectral_bound", ref),
         f"tolerance {_fmt(cfg.tolerance)}",
         f"max_iterations {cfg.max_iterations}",
         "e0 " + " ".join(_fmt(v) for v in cfg.e0),
@@ -252,8 +242,6 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
         f"energy {_fmt(solution.energy())}",
         "mean_moment " + " ".join(_fmt(v) for v in solution.mean_moment().mandel),
     ]
-    if ref.strategy == "arithmetic":
-        lines.insert(6, f"spectral_bound {_fmt(spectral_bound(ref.mu_min, ref.mu_max))}")
     _write_text(out, "report.txt", lines)
     if not solution.converged:
         print("solve did not converge within the iteration budget", file=sys.stderr)
@@ -267,9 +255,9 @@ def _matrix_lines(matrix: np.ndarray) -> list[str]:
 
 def cmd_homogenize(cfg: RunConfig, out: str) -> int:
     field, desc = build_field(cfg)
-    ref = _reference(cfg, field)
+    ref = select_reference(field, cfg.strategy, cfg.lambda0)
     try:
-        effective = effective_tensor(field, ref, _solver_config(cfg, None))
+        effective = effective_tensor(field, ref, SolverConfig(None, cfg.tolerance, cfg.max_iterations))
     except NonConvergenceError as exc:
         print(f"homogenize failed: {exc}", file=sys.stderr)
         return 2
@@ -325,19 +313,13 @@ def cmd_homogenize(cfg: RunConfig, out: str) -> int:
 
 def cmd_spectrum(cfg: RunConfig, out: str | None) -> int:
     field, desc = build_field(cfg)
-    ref = _reference(cfg, field)
-    try:
-        estimate = estimate_spectral_radius(field, ref, cfg.power_iterations, cfg.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    ref = select_reference(field, cfg.strategy, cfg.lambda0)
+    estimate = estimate_spectral_radius(field, ref, cfg.power_iterations, cfg.seed)
     lines = [
         "plate-spectrum v1",
         f"microstructure {desc}",
         *_reference_lines(ref),
-    ]
-    if ref.strategy == "arithmetic":
-        lines.append(f"bound {_fmt(spectral_bound(ref.mu_min, ref.mu_max))}")
-    lines += [
+        *_bound_lines("bound", ref),
         f"estimate {_fmt(estimate)}",
         f"seed {cfg.seed}",
         *_series_factor_lines(field, ref),
@@ -410,46 +392,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """The subcommands; each one's `run` default maps the parsed arguments to its cmd_* call."""
     parser = _Parser(prog="platefft", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, cmd in (
+        ("solve", cmd_solve), ("homogenize", cmd_homogenize),
+        ("spectrum", cmd_spectrum), ("generate", cmd_generate),
+    ):
+        p = sub.add_parser(name)
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=".", help="output directory")
-
-    for name in ("solve", "homogenize", "spectrum", "generate"):
-        common(sub.add_parser(name))
+        p.set_defaults(run=lambda a, cmd=cmd: cmd(load_run_config(a.config, a.set, a.seed), a.out))
     green = sub.add_parser("green")
     green.add_argument("--y", required=True, help="evaluation point, e.g. 0.25,0.5")
     green.add_argument("--cutoff", type=int, required=True)
     green.add_argument("--out", default=None)
+    green.set_defaults(run=lambda a: cmd_green(a.y, a.cutoff, a.out))
     decomp = sub.add_parser("decompose")
     decomp.add_argument("field_path")
     decomp.add_argument("--out", default=".")
+    decomp.set_defaults(run=lambda a: cmd_decompose(a.field_path, a.out))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "green":
-            return cmd_green(args.y, args.cutoff, args.out)
-        if args.command == "decompose":
-            return cmd_decompose(args.field_path, args.out)
-        cfg = load_run_config(args.config, args.set, args.seed)
-        if args.command == "solve":
-            return cmd_solve(cfg, args.out)
-        if args.command == "homogenize":
-            return cmd_homogenize(cfg, args.out)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, args.out)
-        if args.command == "generate":
-            return cmd_generate(cfg, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,6 @@ class LoadCase:
     """Per-load-case convergence metadata of one effective-tensor assembly."""
 
     index: int
-    e0: SymTensor2
     iterations: int
     final_residual: float
     history: ConvergenceHistory
@@ -44,11 +43,10 @@ class EffectiveTensor:
 
 @dataclass
 class BoundsReport:
-    """Voigt/Reuss averages and their ordering check."""
+    """Voigt (arithmetic) and Reuss (harmonic) averages of the phase tensors."""
 
     voigt: StiffTensor4
     reuss: StiffTensor4
-    ordered: bool
 
 
 @dataclass
@@ -74,8 +72,7 @@ def effective_tensor(
     columns = np.zeros((M, M))
     cases: list[LoadCase] = []
     for j in range(M):
-        e0 = SymTensor2.basis(j)
-        solution = solve_cell(field, ref, replace(config, e0=e0))
+        solution = solve_cell(field, ref, replace(config, e0=SymTensor2.basis(j)))
         if not solution.converged:
             raise NonConvergenceError(
                 f"load case {j} (E0 = Mandel basis {j}) did not converge within "
@@ -83,7 +80,7 @@ def effective_tensor(
             )
         columns[:, j] = solution.mean_moment().mandel
         cases.append(
-            LoadCase(j, e0, solution.iterations, solution.final_residual, solution.history)
+            LoadCase(j, solution.iterations, solution.final_residual, solution.history)
         )
     sym = 0.5 * (columns + columns.T)
     scale = max(float(np.abs(columns).max()), 1e-300)
@@ -99,10 +96,7 @@ def voigt_reuss_bounds(field: CoefficientField) -> BoundsReport:
         tensor = field.table.phases[pid]
         voigt += fraction * tensor.mandel_matrix
         reuss_inv += fraction * tensor.inverse().mandel_matrix
-    voigt_t = StiffTensor4(voigt)
-    reuss_t = StiffTensor4(reuss_inv).inverse()
-    gap = np.linalg.eigvalsh(voigt_t.mandel_matrix - reuss_t.mandel_matrix)
-    return BoundsReport(voigt_t, reuss_t, bool(gap.min() >= -1e-10))
+    return BoundsReport(StiffTensor4(voigt), StiffTensor4(reuss_inv).inverse())
 
 
 def bracket_check(

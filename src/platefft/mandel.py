@@ -113,17 +113,6 @@ class SymTensor2:
         v[index] = 1.0
         return cls(v)
 
-    def __add__(self, other: "SymTensor2") -> "SymTensor2":
-        return SymTensor2(self.mandel + other.mandel)
-
-    def __sub__(self, other: "SymTensor2") -> "SymTensor2":
-        return SymTensor2(self.mandel - other.mandel)
-
-    def __mul__(self, scalar: float) -> "SymTensor2":
-        return SymTensor2(self.mandel * float(scalar))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class StiffTensor4:
@@ -169,12 +158,6 @@ class StiffTensor4:
     def operator_norm(self) -> float:
         """Spectral norm max |eigenvalue| of the Mandel matrix."""
         return float(np.abs(self.eigenvalues()).max())
-
-    def __add__(self, other: "StiffTensor4") -> "StiffTensor4":
-        return StiffTensor4(self.mandel_matrix + other.mandel_matrix)
-
-    def __sub__(self, other: "StiffTensor4") -> "StiffTensor4":
-        return StiffTensor4(self.mandel_matrix - other.mandel_matrix)
 
     def __mul__(self, scalar: float) -> "StiffTensor4":
         return StiffTensor4(self.mandel_matrix * float(scalar))

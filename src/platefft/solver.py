@@ -47,8 +47,8 @@ class ReferenceMedium:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not self.lambda0 > 0:
-            raise ValueError(f"reference coefficient must be positive, got {self.lambda0}")
+        if not 0 < self.lambda0 < math.inf:
+            raise ValueError(f"reference coefficient must be positive and finite, got {self.lambda0}")
         if self.strategy == "arithmetic" and not self.lambda0 > self.mu_max / 2.0 > 0:
             raise ValueError("arithmetic reference must satisfy lambda0 > mu_max/2 > 0")
 
@@ -98,8 +98,6 @@ class CellSolution:
 
     curvature: np.ndarray
     moment: np.ndarray
-    e0: SymTensor2
-    reference: ReferenceMedium
     iterations: int
     final_residual: float
     converged: bool
@@ -120,7 +118,7 @@ def select_reference(
 
     arithmetic: lam0 = (mu_min + mu_max) / 2 (midpoint rule);
     geometric:  lam0 = sqrt(mu_min * mu_max), intended for high contrast;
-    manual:     pass-through of `lambda0` with a positivity check.
+    manual:     pass-through of `lambda0`, which must be positive and finite.
     """
     mu_min, mu_max = field.eigen_range()
     if strategy == "arithmetic":
@@ -208,7 +206,7 @@ def solve_cell(
     if not e0.any():
         # zero load: the unique solution is the zero field
         zero = np.zeros((n, n, M))
-        return CellSolution(zero, zero, config.e0, ref, 0, 0.0, True, history)
+        return CellSolution(zero, zero, 0, 0.0, True, history)
 
     lam = ref.lambda0
     step = _NeumannStep(field, lam)
@@ -229,7 +227,7 @@ def solve_cell(
             if residual <= config.tolerance or not math.isfinite(residual):
                 break
         converged = residual <= config.tolerance
-        return CellSolution(e, p + lam * e, config.e0, ref, k, residual, converged, history)
+        return CellSolution(e, p + lam * e, k, residual, converged, history)
 
 
 def estimate_spectral_radius(

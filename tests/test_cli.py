@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import platefft
 from platefft.cli import main
 from platefft.fieldio import read_field, write_field
 from platefft.green import SpectralField, weyl_decompose
@@ -23,6 +27,12 @@ def run_rejected(capsys, *argv):
     assert err.startswith("error: ")
     assert [str(w.message) for w in caught] == []
     return err
+
+
+CHESSBOARD = (
+    "--set", "micro.generator=chessboard", "--set", "micro.alpha=1",
+    "--set", "micro.beta=3", "--set", "micro.n=4",
+)
 
 
 def report_dict(path):
@@ -410,3 +420,61 @@ class TestDeterminism:
         assert run("spectrum", "--out", str(out1), *args) == 0
         assert run("spectrum", "--out", str(out2), *args) == 0
         assert (out1 / "spectrum.txt").read_bytes() == (out2 / "spectrum.txt").read_bytes()
+
+
+class TestErrorBoundary:
+    """Errors no command checks for itself still end in main as exit 1 with one `error:` line."""
+
+    @pytest.mark.parametrize("command", ["solve", "homogenize", "spectrum", "generate", "green", "decompose"])
+    def test_out_under_regular_file_exits_1(self, tmp_path, capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        field = tmp_path / "in.field"
+        write_field(field, np.zeros((4, 4, 3)))
+        argv = {
+            "solve": ["solve", *CHESSBOARD, "--set", "e0=1,0,0"],
+            "homogenize": ["homogenize", *CHESSBOARD],
+            "spectrum": ["spectrum", *CHESSBOARD],
+            "generate": ["generate", *CHESSBOARD],
+            "green": ["green", "--y", "0.25,0.5", "--cutoff", "2"],
+            "decompose": ["decompose", str(field)],
+        }[command]
+        err = run_rejected(capsys, *argv, "--out", str(blocker / "run"))
+        assert str(blocker) in err
+
+    def test_spectrum_out_naming_regular_file_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        err = run_rejected(capsys, "spectrum", *CHESSBOARD, "--out", str(blocker))
+        assert str(blocker) in err
+        assert blocker.read_text() == ""
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"micro.n = 4\n# \xff\xfe\n")
+        err = run_rejected(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert "cannot read config file" in err
+
+    @pytest.mark.parametrize("command", ["solve", "homogenize", "spectrum"])
+    def test_infinite_manual_reference_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        err = run_rejected(
+            capsys, command, "--out", str(out), *CHESSBOARD, "--set", "e0=1,0,0",
+            "--set", "reference.strategy=manual", "--set", "reference.lambda0=inf",
+        )
+        assert "reference coefficient must be positive and finite" in err
+        assert not out.exists()
+
+    def test_process_exits_1_with_one_error_line(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        src = os.path.dirname(os.path.dirname(platefft.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "platefft.cli", "solve", "--out", str(blocker / "x"),
+             *CHESSBOARD, "--set", "e0=1,0,0"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr
