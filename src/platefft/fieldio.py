@@ -1,9 +1,9 @@
 """Text dumps of Mandel-vector grid fields (`plate-field v1`).
 
-Header line: ``plate-field v1 d 2 N <N> m 3``, followed by N^2 lines of 3
-reals (the Mandel components of one voxel), voxels row-major (axis 0
-slowest), 17 significant digits.  Fields are two-dimensional; the ``d 2``
-entry is kept for format stability.
+Header line: ``plate-field v1 d 2 N <N> m 3``, followed by N^2 lines of 3 reals (the
+Mandel components of one voxel), voxels row-major (axis 0 slowest), 17 significant
+digits; `write_field` formats BLOCK_ROWS rows per %-format, with np.savetxt's bytes.
+Fields are two-dimensional; the ``d 2`` entry is kept for format stability.
 """
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ FIELD_VERSION = "v1"
 
 # 17 significant digits round-trip every float64 exactly.
 FLOAT_FMT = "%.17g"
+ROW_FMT = " ".join([FLOAT_FMT] * M) + "\n"
+BLOCK_ROWS = 8192  # bounds the text write_field holds in memory
 
 
 class FieldFormatError(ValueError):
@@ -31,7 +33,8 @@ def write_field(path, values: np.ndarray) -> None:
         raise ValueError(f"expected shape (N, N, {M}), got {values.shape}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{FIELD_MAGIC} {FIELD_VERSION} d 2 N {n} m {M}\n")
-        np.savetxt(fh, values.reshape(-1, M), fmt=FLOAT_FMT)
+        for block in np.split(values.reshape(-1, M), range(BLOCK_ROWS, n * n, BLOCK_ROWS)):
+            fh.write(ROW_FMT * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_field(path) -> np.ndarray:

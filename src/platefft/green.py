@@ -162,10 +162,12 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
     return float(total.real) / a.n**4
 
 
-def _gamma_multiply(coeffs: np.ndarray, nn: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Green-operator symbol per mode, scale = -1/(lam0 |n|^4) or 0 if inactive, and s = n.P_hat.n."""
-    s = (nn * coeffs).sum(axis=-1)
-    return nn * (s * scale)[..., None], s
+def _gamma_multiply(coeffs: np.ndarray, nn: np.ndarray, nn_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma's symbol on (M, ...) spectra, nn_scale = -nn/(lam0 |n|^4) or 0 if inactive, and s = n.P_hat.n."""
+    s = nn[0] * coeffs[0]
+    s += nn[1] * coeffs[1]
+    s += nn[2] * coeffs[2]
+    return nn_scale * s, s
 
 
 def apply_gamma_coeffs(p_hat: np.ndarray, grid: FrequencyGrid, lambda0: float) -> np.ndarray:
@@ -175,7 +177,9 @@ def apply_gamma_coeffs(p_hat: np.ndarray, grid: FrequencyGrid, lambda0: float) -
     """
     if lambda0 <= 0:
         raise ValueError(f"reference coefficient must be positive, got {lambda0}")
-    return _gamma_multiply(p_hat, grid.mandel_nn, grid.inv_norm4 * (-1.0 / lambda0))[0]
+    nn = np.moveaxis(grid.mandel_nn, -1, 0)
+    gamma_hat, _ = _gamma_multiply(np.moveaxis(p_hat, -1, 0), nn, nn * (grid.inv_norm4 * (-1.0 / lambda0)))
+    return np.moveaxis(gamma_hat, 0, -1)
 
 
 def gamma_apply(field: SpectralField, lambda0: float) -> SpectralField:
@@ -189,11 +193,11 @@ def gamma_apply(field: SpectralField, lambda0: float) -> SpectralField:
 
 
 class GreenOperator:
-    """The Green operator of one reference lam0, acting on real N x N fields.
+    """The Green operator of one reference lam0, acting on real component-major (M, N, N) fields.
 
-    It works on the rfftn half spectrum, shape (N, N//2 + 1, M): column j holds
-    n2 = j, and n2 = -j is left implicit as its conjugate.  On even grids the last
-    column is the Nyquist column (+N/2 here, -N/2 in fftn), inactive either way.
+    It works on the rfft2 half spectrum over the last two axes, shape (M, N, N//2 + 1):
+    column j holds n2 = j, and n2 = -j is left implicit as its conjugate.  On even grids
+    the last column is the Nyquist column (+N/2 here, -N/2 in fftn), inactive either way.
     """
 
     def __init__(self, grid: FrequencyGrid, lambda0: float):
@@ -201,24 +205,24 @@ class GreenOperator:
             raise ValueError(f"reference coefficient must be positive, got {lambda0}")
         self.n = grid.n
         half = np.s_[:, : grid.n // 2 + 1]
-        self.nn = np.ascontiguousarray(grid.mandel_nn[half])
-        self.scale = grid.inv_norm4[half] * (-1.0 / lambda0)
+        self.nn = np.ascontiguousarray(np.moveaxis(grid.mandel_nn[half], -1, 0))
+        self.nn_scale = self.nn * (grid.inv_norm4[half] * (-1.0 / lambda0))
         # Parseval multiplicity of the active modes: 1 in the columns that hold
         # their own conjugates (column 0; column N/2 of even grids), 2 elsewhere
         col = np.arange(grid.n // 2 + 1)
         self.weights = np.where((col == 0) | (2 * col == grid.n), 1.0, 2.0) * grid.active_mask[half]
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """Half spectrum of a real (N, N, M) field."""
-        return np.fft.rfftn(values, axes=(0, 1))
+        """Half spectrum of a real (M, N, N) field."""
+        return np.fft.rfft2(values)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real (N, N, M) field with the given half spectrum."""
-        return np.fft.irfftn(coeffs, s=(self.n, self.n), axes=(0, 1))
+        """Real (M, N, N) field with the given half spectrum."""
+        return np.fft.irfft2(coeffs, s=(self.n, self.n))
 
     def apply(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Half spectrum of Gamma * P and the scalars s = n . P_hat . n, from the half spectrum of P."""
-        return _gamma_multiply(coeffs, self.nn, self.scale)
+        return _gamma_multiply(coeffs, self.nn, self.nn_scale)
 
     def equilibrium_residual(self, ds: np.ndarray, j0: np.ndarray) -> float:
         """sqrt(sum over active n of |n.J_hat.n|^2) / |J_hat(0)|, from ds = n.J_hat.n and j0 = J_hat(0)."""

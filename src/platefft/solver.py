@@ -18,8 +18,8 @@ the Nyquist rows are excluded, matching the modes the grid operator resolves).
 
 An iteration costs two real FFTs and Gamma's one contraction s = n . p_hat . n of
 p = dC:E.  As n . J_hat_{k+1} . n = s_{k+1} - s_k on the active modes, the residual
-comes from Gamma's scalars.  The reports' series_factor (apriori_bound) is the
-paper's trace-reference estimate.
+comes from Gamma's scalars; the loop runs on (M, N, N) iterates and an (M, M, N, N) dC.
+The reports' series_factor (apriori_bound) is the paper's trace-reference estimate.
 """
 from __future__ import annotations
 
@@ -93,7 +93,7 @@ class ConvergenceHistory:
 class CellSolution:
     """Converged (or flagged non-converged) corrector state.
 
-    curvature and moment are real grids of Mandel vectors, shape (N, N, M).
+    curvature and moment are real (N, N, M) grids of Mandel vectors, views of the (M, N, N) iterates.
     """
 
     curvature: np.ndarray
@@ -169,24 +169,24 @@ def apriori_bound(field: CoefficientField, ref: ReferenceMedium) -> float:
 class _NeumannStep:
     """B = Gamma * (dC : .), the operator of the fixed point, for one field and lam0.
 
-    Built once per solve: dC = C - C0 is the only coefficient grid, and the
-    Green operator holds its scale with the inactive modes zeroed.
+    Built once per solve: dC = C - C0, contiguous (M, M, N, N), is the only coefficient
+    grid, and the Green operator holds its scale with the inactive modes zeroed.
     """
 
     def __init__(self, field: CoefficientField, lambda0: float):
-        self.dc = field.mandel_grid() - lambda0 * np.eye(M)
+        self.dc = np.subtract(field.mandel_grid().transpose(2, 3, 0, 1), lambda0 * np.eye(M)[..., None, None], order="C")
         self.green = GreenOperator(FrequencyGrid(2, field.n), lambda0)
 
     def __call__(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """dC:E, its spectrum's mean mode (copied: a view keeps the spectrum alive), Gamma's output and s."""
-        p = np.einsum("xyab,xyb->xya", self.dc, e)
+        p = np.einsum("abxy,bxy->axy", self.dc, e)
         p_hat = self.green.forward(p)
-        return p, p_hat[0, 0].copy(), *self.green.apply(p_hat)
+        return p, p_hat[:, 0, 0].copy(), *self.green.apply(p_hat)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    """<a : b> summed over a real grid; einsum, as BLAS dot threads would spin through the loop."""
-    return float(np.einsum("xya,xya->", a, b))
+    """<a : b> summed over an (M, N, N) grid; einsum, as BLAS dot threads would spin through the loop."""
+    return float(np.einsum("axy,axy->", a, b))
 
 
 def solve_cell(
@@ -194,9 +194,9 @@ def solve_cell(
 ) -> CellSolution:
     """Iterate the fixed point from the constant field E0 until equilibrium.
 
-    On success the returned solution has residual <= tolerance; if the
-    iteration budget is exhausted (or the iterates blow up), the result is
-    flagged non-converged and carries the full history.
+    On success the solution has residual <= tolerance; if the budget is exhausted
+    (or the iterates blow up), it is flagged non-converged with the full history.
+    A first step that overflows (e0 or lam0 near the float range) raises ValueError.
     """
     if config.e0 is None:
         raise ValueError("solver config has no macroscopic curvature e0")
@@ -210,13 +210,16 @@ def solve_cell(
 
     lam = ref.lambda0
     step = _NeumannStep(field, lam)
-    e = np.broadcast_to(e0, (n, n, M))
-    _, _, e_hat, s = step(e)
+    e = np.broadcast_to(e0[:, None, None], (M, n, n))
     # divergent references overflow before their residual turns non-finite and ends the loop
     with np.errstate(over="ignore", invalid="ignore"):
+        p_hat0, e_hat, s = step(e)[1:]
+        if not (np.isfinite(p_hat0).all() and np.isfinite(s).all()):
+            raise ValueError(f"the first iteration overflows: e0 {e0.tolist()} or lambda0 {lam:g} is too large")
         for k in range(1, config.max_iterations + 1):
-            e_hat[0, 0] = n * n * e0  # Gamma zeroes the mean mode; E0 fills it
+            e_hat[:, 0, 0] = n * n * e0  # Gamma zeroes the mean mode; E0 fills it
             e_new = step.green.inverse(e_hat)
+            del e_hat  # the spectrum is dead: free it before step() allocates the next
             p, p_hat0, gamma_hat, s_new = step(e_new)
             residual = step.green.equilibrium_residual(s_new - s, p_hat0 + n * n * lam * e0)
             d = e_new - e
@@ -227,7 +230,7 @@ def solve_cell(
             if residual <= config.tolerance or not math.isfinite(residual):
                 break
         converged = residual <= config.tolerance
-        return CellSolution(e, p + lam * e, k, residual, converged, history)
+        return CellSolution(np.moveaxis(e, 0, -1), np.moveaxis(p + lam * e, 0, -1), k, residual, converged, history)
 
 
 def estimate_spectral_radius(
@@ -244,8 +247,8 @@ def estimate_spectral_radius(
     n = field.n
     step = _NeumannStep(field, ref.lambda0)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, n, M))
-    x -= x.mean(axis=(0, 1))
+    x = np.moveaxis(rng.standard_normal((n, n, M)), -1, 0)  # the draw of the (N, N, M) layout
+    x -= x.mean(axis=(1, 2), keepdims=True)
     x /= math.sqrt(_inner(x, x) / (n * n))
     ratios = []
     for _ in range(iterations):

@@ -465,6 +465,23 @@ class TestErrorBoundary:
         assert "reference coefficient must be positive and finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, load",
+        [
+            ("solve", ["--set", "e0=1e308,0,0"]),
+            ("solve", ["--set", "e0=1,0,0", "--set", "reference.strategy=manual",
+                       "--set", "reference.lambda0=1e308"]),
+            ("homogenize", ["--set", "reference.strategy=manual", "--set", "reference.lambda0=1e308"]),
+        ],
+        ids=["solve-e0", "solve-lambda0", "homogenize-lambda0"],
+    )
+    def test_overflowing_first_step_exits_1(self, tmp_path, capsys, command, load):
+        out = tmp_path / "run"
+        err = run_rejected(capsys, command, "--out", str(out), *CHESSBOARD, *load)
+        assert len(err.splitlines()) == 1
+        assert "overflows" in err
+        assert not out.exists()
+
     def test_process_exits_1_with_one_error_line(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

@@ -1,3 +1,4 @@
+import io
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from platefft.fieldio import FieldFormatError, read_field, write_field
+from platefft.fieldio import BLOCK_ROWS, FieldFormatError, read_field, write_field
 
 # Every finite float64, with the edge cases drawn explicitly as well.
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -39,6 +40,24 @@ class TestRoundTrip:
         back = read_field(path)
         # compare bit patterns, so that -0.0 must come back as -0.0
         np.testing.assert_array_equal(back.view(np.int64), values.view(np.int64))
+
+    def test_body_bytes_equal_savetxt_across_blocks(self, tmp_path):
+        # N = 91 gives 8281 rows: more than one block, and not a whole number of blocks
+        n = 91
+        assert n * n > BLOCK_ROWS and n * n % BLOCK_ROWS
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((n, n, 3)) * np.exp(rng.uniform(-300, 300, (n, n, 3)))
+        edges = [-0.0, 5e-324, 1e308, -1.5e-300]
+        values.reshape(-1)[:4] = edges  # first block
+        values.reshape(-1)[-4:] = edges  # last, partial block
+        path = tmp_path / "field.field"
+        write_field(path, values)
+        want = io.BytesIO()
+        np.savetxt(want, values.reshape(-1, 3), fmt="%.17g")
+        header, _, body = path.read_bytes().partition(b"\n")
+        assert header == b"plate-field v1 d 2 N 91 m 3"
+        assert body == want.getvalue()
+        np.testing.assert_array_equal(read_field(path).view(np.int64), values.view(np.int64))
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "field.field"

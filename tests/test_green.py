@@ -387,9 +387,9 @@ class TestGreenOperator:
         for _ in range(5):
             j = rng.standard_normal((n, n, 3)) + rng.standard_normal(3)
             want = full_spectrum_residual(np.fft.fftn(j, axes=(0, 1)), grid)
-            j_hat = op.forward(j)
+            j_hat = op.forward(np.moveaxis(j, -1, 0))
             _, s = op.apply(j_hat)  # s = n.J_hat.n
-            assert op.equilibrium_residual(s, j_hat[0, 0]) == pytest.approx(want, rel=1e-12)
+            assert op.equilibrium_residual(s, j_hat[:, 0, 0]) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_half_spectrum_gamma_matches_full_spectrum(self, n):
@@ -397,7 +397,8 @@ class TestGreenOperator:
         p = rng.standard_normal((n, n, 3))
         op = GreenOperator(FrequencyGrid(2, n), 1.5)
         want = gamma_apply(SpectralField.from_real(p), 1.5).to_real()
-        np.testing.assert_allclose(op.inverse(op.apply(op.forward(p))[0]), want, rtol=0, atol=1e-14)
+        got = op.inverse(op.apply(op.forward(np.moveaxis(p, -1, 0)))[0])
+        np.testing.assert_allclose(np.moveaxis(got, 0, -1), want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_scalar_step_is_equilibrium_contraction(self, n):
@@ -412,12 +413,12 @@ class TestGreenOperator:
         active = op.weights > 0
 
         def spectrum(mat, values):
-            return op.forward(np.einsum("xyab,xyb->xya", mat, values))
+            return op.forward(np.einsum("xyab,bxy->axy", mat, values))
 
         e0 = rng.standard_normal(3)
-        e_hat, s = op.apply(spectrum(dc, np.broadcast_to(e0, (n, n, 3))))
+        e_hat, s = op.apply(spectrum(dc, np.moveaxis(np.broadcast_to(e0, (n, n, 3)), -1, 0)))
         for _ in range(3):
-            e_hat[0, 0] = n * n * e0
+            e_hat[:, 0, 0] = n * n * e0
             e = op.inverse(e_hat)
             p_hat = spectrum(dc, e)
             e_hat, s_new = op.apply(p_hat)
@@ -425,7 +426,7 @@ class TestGreenOperator:
             _, want = op.apply(j_hat)
             atol = 1e-13 * np.abs(s_new).max()
             np.testing.assert_allclose((s_new - s)[active], want[active], rtol=0, atol=atol)
-            np.testing.assert_allclose(p_hat[0, 0] + n * n * lam * e0, j_hat[0, 0], rtol=1e-13)
+            np.testing.assert_allclose(p_hat[:, 0, 0] + n * n * lam * e0, j_hat[:, 0, 0], rtol=1e-13)
             s = s_new
 
     @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
@@ -439,7 +440,7 @@ class TestGreenOperator:
         def project(values):
             return -lam * op.inverse(op.apply(op.forward(values))[0])
 
-        x, y = np.random.default_rng(seed).standard_normal((2, n, n, 3))
+        x, y = np.moveaxis(np.random.default_rng(seed).standard_normal((2, n, n, 3)), -1, 1)
         px, py = project(x), project(y)
         scale = math.sqrt(float(np.vdot(x, x) * np.vdot(y, y)))
         assert abs(float(np.vdot(px, y) - np.vdot(x, py))) <= 1e-13 * scale

@@ -118,6 +118,24 @@ class TestEstimateSpectralRadius:
         e2 = estimate_spectral_radius(f2, r2, 30, seed=3)
         assert abs(e1 - e2) <= 1e-6
 
+    def test_matches_power_iteration_of_gamma_apply(self):
+        # the same seeded draw, run through the full-spectrum operator in the (N, N, M) layout
+        n, lam, iterations = 16, 2.0, 30
+        f = generate_inclusion(1.0 * ID, StiffTensor4(np.diag([3.0, 2.0, 4.0])), 0.3, n)
+        ref = select_reference(f, "manual", lam)
+        dc = f.mandel_grid() - lam * np.eye(3)
+        x = np.random.default_rng(5).standard_normal((n, n, 3))
+        x -= x.mean(axis=(0, 1))
+        x /= math.sqrt(float((x * x).sum()) / (n * n))
+        ratios = []
+        for _ in range(iterations):
+            p = np.einsum("xyab,xyb->xya", dc, x)
+            y = -gamma_apply(SpectralField.from_real(p), lam).to_real()
+            ratios.append(math.sqrt(float((y * y).sum()) / (n * n)))
+            x = y / ratios[-1]
+        want = math.exp(np.log(ratios[-5:]).mean())
+        assert estimate_spectral_radius(f, ref, iterations, seed=5) == pytest.approx(want, rel=1e-12)
+
     def test_minimum_iterations_enforced(self):
         f = generate_chessboard(1.0 * ID, 3.0 * ID, 8)
         with pytest.raises(ValueError, match="10"):
