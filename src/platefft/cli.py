@@ -239,8 +239,8 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
         f"iterations {solution.iterations}",
         f"residual {_fmt(solution.final_residual)}",
         *_series_factor_lines(field, ref),
-        f"energy {_fmt(solution.energy())}",
-        "mean_moment " + " ".join(_fmt(v) for v in solution.mean_moment().mandel),
+        f"energy {_fmt(solution.energy)}",
+        "mean_moment " + " ".join(_fmt(v) for v in solution.mean_moment.mandel),
     ]
     _write_text(out, "report.txt", lines)
     if not solution.converged:
@@ -311,7 +311,7 @@ def cmd_homogenize(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig, out: str | None) -> int:
+def cmd_spectrum(cfg: RunConfig, out: str) -> int:
     field, desc = build_field(cfg)
     ref = select_reference(field, cfg.strategy, cfg.lambda0)
     estimate = estimate_spectral_radius(field, ref, cfg.power_iterations, cfg.seed)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mandel import M, SQRT2, SymTensor2, sym_to_mandel
+from .mandel import M, SymTensor2, mandel_to_sym, sym_to_mandel
 
 
 def green_fourier_coefficient(n) -> float:
@@ -49,25 +49,28 @@ def green_fourier_coefficient(n) -> float:
     return -((2.0 * np.pi) ** -4) / norm4
 
 
+def _lattice(d: int, cutoff: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The integer modes 0 < |n|_inf <= cutoff, as d coordinate arrays, and their |n|^2."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    axes = np.arange(-cutoff, cutoff + 1)
+    grids = np.meshgrid(*([axes] * d), indexing="ij")
+    nsq = sum(g.astype(float) ** 2 for g in grids)
+    mask = nsq > 0
+    return [g[mask] for g in grids], nsq[mask]
+
+
 def green_evaluate(y, cutoff: int) -> float:
     """Truncated series of the periodic biharmonic fundamental solution at y.
 
     Sums the modes with 0 < |n|_inf <= cutoff; the result is real because the
     coefficients are even in n.
     """
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     y = np.asarray(y, dtype=float)
-    d = y.shape[0]
-    axes = np.arange(-cutoff, cutoff + 1)
-    grids = np.meshgrid(*([axes] * d), indexing="ij")
-    nsq = sum(g.astype(float) ** 2 for g in grids)
-    phase = sum(g * yk for g, yk in zip(grids, y))
-    mask = nsq > 0
-    coeff = np.zeros_like(nsq)
-    coeff[mask] = -((2.0 * np.pi) ** -4) / nsq[mask] ** 2
-    total = (coeff * np.exp(2j * np.pi * phase))[mask].sum()
-    return float(total.real)
+    modes, nsq = _lattice(y.shape[0], cutoff)
+    phase = sum(g * yk for g, yk in zip(modes, y))
+    coeff = -((2.0 * np.pi) ** -4) / nsq**2
+    return float((coeff * np.exp(2j * np.pi * phase)).sum().real)
 
 
 def gamma_symbol(n, lambda0: float) -> np.ndarray:
@@ -85,6 +88,12 @@ def gamma_symbol(n, lambda0: float) -> np.ndarray:
         return np.zeros((M, M))
     nn = sym_to_mandel(np.outer(n, n))
     return -np.outer(nn, nn) / (lambda0 * norm4)
+
+
+def _dyad(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """n (x) n per mode, shape (..., 2, 2), from the frequency components."""
+    nvec = np.stack([n1, n2], axis=-1)
+    return nvec[..., :, None] * nvec[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,7 @@ class FrequencyGrid:
         f = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
         n1 = np.broadcast_to(f[:, None], (self.n, self.n)).astype(float)
         n2 = np.broadcast_to(f[None, :], (self.n, self.n)).astype(float)
-        nn = np.stack([n1**2, n2**2, SQRT2 * n1 * n2], axis=-1)
+        nn = sym_to_mandel(_dyad(n1, n2))
         norm4 = (n1**2 + n2**2) ** 2
         nyquist = np.zeros((self.n, self.n), dtype=bool)
         if self.n % 2 == 0:
@@ -252,46 +261,27 @@ def weyl_decompose(field: SpectralField) -> tuple[SpectralField, SpectralField, 
     return SpectralField(pot), SpectralField(sol), field.mean()
 
 
-@dataclass(frozen=True)
-class SkewPotential:
-    """Per-frequency potential Gamma^{sh}_{ij} of a solenoidal field.
-
-    Stored as a complex array of shape (N, N, 2, 2, 2, 2) with index order
-    (s, h, i, j); symmetric in (i, j) and skew between the index pairs.
-    """
-
-    coeffs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
-
-
-def build_skew_potential(field: SpectralField, tol: float = 1e-10) -> SkewPotential:
+def build_skew_potential(field: SpectralField) -> np.ndarray:
     """Fourth-order potential whose double divergence reproduces a solenoidal field.
 
     Requires n . g_hat(n) . n = 0 for every mode and g_hat(0) = 0 (relative
-    tolerance `tol`); per nonzero mode the coefficients are
+    tolerance 1e-10).  Returns the per-frequency potential Gamma^{sh}_{ij} as a
+    complex (N, N, 2, 2, 2, 2) array with index order (s, h, i, j), symmetric in
+    (i, j) and skew between the index pairs; per nonzero mode
 
         Gamma^{sh}_{ij,n} = (-g^{ij}_n n_s n_h + g^{sh}_n n_i n_j)
                             |n|^-4 (-4 pi^2)^-1.
     """
+    tol = 1e-10
     grid = FrequencyGrid(2, field.n)
-    nn = grid.mandel_nn
     scale = max(float(np.abs(field.coeffs).max()), 1e-300)
-    contraction = (nn * field.coeffs).sum(axis=-1)
+    contraction = (grid.mandel_nn * field.coeffs).sum(axis=-1)
     if np.abs(contraction).max() > tol * scale * max(grid.norm4.max() ** 0.5, 1.0):
         raise ValueError("input is not solenoidal: n . g_hat(n) . n != 0")
     if np.abs(field.coeffs[0, 0]).max() > tol * scale:
         raise ValueError("input has a nonzero mean")
-    n1, n2 = grid.components
-    # dense 2 x 2 coefficients g^{ij}_n from the Mandel layout
-    g = np.empty(field.coeffs.shape[:-1] + (2, 2), dtype=complex)
-    g[..., 0, 0] = field.coeffs[..., 0]
-    g[..., 1, 1] = field.coeffs[..., 1]
-    g[..., 0, 1] = g[..., 1, 0] = field.coeffs[..., 2] / SQRT2
-    nvec = np.stack([n1, n2], axis=-1)
-    outer = nvec[..., :, None] * nvec[..., None, :]  # n_i n_j
+    g = mandel_to_sym(field.coeffs)  # g^{ij}_n
+    outer = _dyad(*grid.components)  # n_i n_j
     norm4 = np.where(grid.norm4 == 0, 1.0, grid.norm4)
     factor = 1.0 / (norm4 * (-4.0 * np.pi**2))
     # index order (s, h, i, j): -n_s n_h g^{ij} + g^{sh} n_i n_j, per mode
@@ -299,25 +289,18 @@ def build_skew_potential(field: SpectralField, tol: float = 1e-10) -> SkewPotent
     term2 = g[..., :, :, None, None] * outer[..., None, None, :, :]
     gamma = (-term1 + term2) * factor[..., None, None, None, None]
     gamma[0, 0] = 0.0
-    return SkewPotential(gamma)
+    return gamma
 
 
-def reconstruct_from_skew(skew: SkewPotential) -> SpectralField:
-    """Apply the double divergence D* over the (i, j) indices, mode by mode.
+def reconstruct_from_skew(skew: np.ndarray) -> SpectralField:
+    """Apply the double divergence D* over the (i, j) indices of a skew potential, mode by mode.
 
     Exact inverse of build_skew_potential on its admissible inputs.
     """
-    grid = FrequencyGrid(2, skew.n)
-    n1, n2 = grid.components
-    nvec = np.stack([n1, n2], axis=-1)
-    outer = nvec[..., :, None] * nvec[..., None, :]
+    grid = FrequencyGrid(2, skew.shape[0])
     # D* on the mode: (2 pi i)^2 n_i n_j Gamma^{sh}_{ij}
-    dense = -4.0 * np.pi**2 * np.einsum("xyshij,xyij->xysh", skew.coeffs, outer.astype(complex))
-    out = np.empty(skew.coeffs.shape[:2] + (M,), dtype=complex)
-    out[..., 0] = dense[..., 0, 0]
-    out[..., 1] = dense[..., 1, 1]
-    out[..., 2] = SQRT2 * 0.5 * (dense[..., 0, 1] + dense[..., 1, 0])
-    return SpectralField(out)
+    dense = -4.0 * np.pi**2 * np.einsum("xyshij,xyij->xysh", skew, _dyad(*grid.components).astype(complex))
+    return SpectralField(sym_to_mandel(dense))
 
 
 def dirac_sobolev_partial_sum(s: float, d: int, cutoff: int) -> float:
@@ -326,13 +309,8 @@ def dirac_sobolev_partial_sum(s: float, d: int, cutoff: int) -> float:
     Sums (1 + |2 pi n|^2)^s / (2 pi)^d over 0 < |n|_inf <= cutoff.  The sums
     converge as cutoff grows exactly when s < -d/2.
     """
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    axes = np.arange(-cutoff, cutoff + 1)
-    grids = np.meshgrid(*([axes] * d), indexing="ij")
-    nsq = sum(g.astype(float) ** 2 for g in grids)
-    mask = nsq > 0
-    terms = (1.0 + 4.0 * np.pi**2 * nsq[mask]) ** s
+    _, nsq = _lattice(d, cutoff)
+    terms = (1.0 + 4.0 * np.pi**2 * nsq) ** s
     return float(terms.sum() / (2.0 * np.pi) ** d)

@@ -28,7 +28,6 @@ class LoadCase:
 
     index: int
     iterations: int
-    final_residual: float
     history: ConvergenceHistory
 
 
@@ -78,10 +77,8 @@ def effective_tensor(
                 f"load case {j} (E0 = Mandel basis {j}) did not converge within "
                 f"{config.max_iterations} iterations (residual {solution.final_residual:.3e})"
             )
-        columns[:, j] = solution.mean_moment().mandel
-        cases.append(
-            LoadCase(j, solution.iterations, solution.final_residual, solution.history)
-        )
+        columns[:, j] = solution.mean_moment.mandel
+        cases.append(LoadCase(j, solution.iterations, solution.history))
     sym = 0.5 * (columns + columns.T)
     scale = max(float(np.abs(columns).max()), 1e-300)
     asymmetry = float(np.abs(columns - columns.T).max()) / scale
@@ -99,17 +96,15 @@ def voigt_reuss_bounds(field: CoefficientField) -> BoundsReport:
     return BoundsReport(StiffTensor4(voigt), StiffTensor4(reuss_inv).inverse())
 
 
-def bracket_check(
-    bounds: BoundsReport, c_hom: StiffTensor4, rtol: float = 1e-8
-) -> BracketVerdict:
+def bracket_check(bounds: BoundsReport, c_hom: StiffTensor4) -> BracketVerdict:
     """Check Reuss <= C_hom <= Voigt in the positive-semidefinite order.
 
-    Slack eigenvalues may dip below zero by rtol * |Voigt| before the verdict
+    Slack eigenvalues may dip below zero by 1e-8 * |Voigt| before the verdict
     flips.
     """
     upper = np.linalg.eigvalsh(bounds.voigt.mandel_matrix - c_hom.mandel_matrix)
     lower = np.linalg.eigvalsh(c_hom.mandel_matrix - bounds.reuss.mandel_matrix)
-    slack = rtol * bounds.voigt.operator_norm()
+    slack = 1e-8 * bounds.voigt.operator_norm()
     ok = bool(upper.min() >= -slack and lower.min() >= -slack)
     return BracketVerdict(upper, lower, ok)
 

@@ -26,18 +26,18 @@ class SingularTensorError(ValueError):
 
 
 def sym_to_mandel(matrix: np.ndarray) -> np.ndarray:
-    """Encode a symmetric 2 x 2 matrix as a Mandel vector."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {matrix.shape}")
-    out = np.empty(M)
+    """Encode symmetric 2 x 2 matrices, shape (..., 2, 2), as Mandel vectors (..., M)."""
+    matrix = np.asarray(matrix)
+    if matrix.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {matrix.shape}")
+    out = np.empty(matrix.shape[:-2] + (M,), dtype=np.result_type(matrix, float))
     for a, (i, j) in enumerate(_PAIRS):
-        out[a] = matrix[i, j] if i == j else SQRT2 * 0.5 * (matrix[i, j] + matrix[j, i])
+        out[..., a] = matrix[..., i, j] if i == j else SQRT2 * 0.5 * (matrix[..., i, j] + matrix[..., j, i])
     return out
 
 
 def mandel_to_sym(vec: np.ndarray) -> np.ndarray:
-    """Decode a Mandel vector back into the dense symmetric matrix."""
+    """Decode Mandel vectors, shape (..., M), back into dense symmetric matrices (..., 2, 2)."""
     vec = np.asarray(vec)
     if vec.shape[-1] != M:
         raise ValueError(f"invalid Mandel component count {vec.shape[-1]} (expected {M})")

@@ -93,7 +93,8 @@ class ConvergenceHistory:
 class CellSolution:
     """Converged (or flagged non-converged) corrector state.
 
-    curvature and moment are real (N, N, M) grids of Mandel vectors, views of the (M, N, N) iterates.
+    curvature and moment are real (N, N, M) grids of Mandel vectors, views of the (M, N, N) iterates;
+    energy <E : C : E> and mean_moment <C : E> are the last iteration's, as the loop formed them.
     """
 
     curvature: np.ndarray
@@ -102,13 +103,8 @@ class CellSolution:
     final_residual: float
     converged: bool
     history: ConvergenceHistory
-
-    def mean_moment(self) -> SymTensor2:
-        return SymTensor2(self.moment.mean(axis=(0, 1)))
-
-    def energy(self) -> float:
-        """<E : C : E> over the cell."""
-        return float((self.curvature * self.moment).sum(axis=-1).mean())
+    energy: float
+    mean_moment: SymTensor2
 
 
 def select_reference(
@@ -196,7 +192,8 @@ def solve_cell(
 
     On success the solution has residual <= tolerance; if the budget is exhausted
     (or the iterates blow up), it is flagged non-converged with the full history.
-    A first step that overflows (e0 or lam0 near the float range) raises ValueError.
+    A first iteration whose residual or energy overflows (e0 or lam0 near the float
+    range) raises ValueError.
     """
     if config.e0 is None:
         raise ValueError("solver config has no macroscopic curvature e0")
@@ -206,31 +203,35 @@ def solve_cell(
     if not e0.any():
         # zero load: the unique solution is the zero field
         zero = np.zeros((n, n, M))
-        return CellSolution(zero, zero, 0, 0.0, True, history)
+        return CellSolution(zero, zero, 0, 0.0, True, history, 0.0, SymTensor2(np.zeros(M)))
 
     lam = ref.lambda0
     step = _NeumannStep(field, lam)
     e = np.broadcast_to(e0[:, None, None], (M, n, n))
     # divergent references overflow before their residual turns non-finite and ends the loop
     with np.errstate(over="ignore", invalid="ignore"):
-        p_hat0, e_hat, s = step(e)[1:]
-        if not (np.isfinite(p_hat0).all() and np.isfinite(s).all()):
-            raise ValueError(f"the first iteration overflows: e0 {e0.tolist()} or lambda0 {lam:g} is too large")
+        p, _, e_hat, s = step(e)
         for k in range(1, config.max_iterations + 1):
             e_hat[:, 0, 0] = n * n * e0  # Gamma zeroes the mean mode; E0 fills it
             e_new = step.green.inverse(e_hat)
-            del e_hat  # the spectrum is dead: free it before step() allocates the next
-            p, p_hat0, gamma_hat, s_new = step(e_new)
-            residual = step.green.equilibrium_residual(s_new - s, p_hat0 + n * n * lam * e0)
             d = e_new - e
             delta = math.sqrt(_inner(d, d) / (n * n))
-            energy = (_inner(e_new, p) + lam * _inner(e_new, e_new)) / (n * n)
+            del e_hat, p, d  # dead, as is the last iterate: free them before step() allocates the next
+            e = e_new
+            p, p_hat0, e_hat, s_new = step(e)
+            j0 = p_hat0 + n * n * lam * e0
+            residual = step.green.equilibrium_residual(s_new - s, j0)
+            energy = (_inner(e, p) + lam * _inner(e, e)) / (n * n)
             history.append(k, residual, delta, energy)
-            e, e_hat, s = e_new, gamma_hat, s_new
+            if k == 1 and not (math.isfinite(residual) and math.isfinite(energy)):
+                raise ValueError(f"the first iteration overflows: e0 {e0.tolist()} or lambda0 {lam:g} is too large")
+            s = s_new
             if residual <= config.tolerance or not math.isfinite(residual):
                 break
         converged = residual <= config.tolerance
-        return CellSolution(np.moveaxis(e, 0, -1), np.moveaxis(p + lam * e, 0, -1), k, residual, converged, history)
+        moment = np.moveaxis(p + lam * e, 0, -1)
+        mean = SymTensor2(j0.real / (n * n))
+        return CellSolution(np.moveaxis(e, 0, -1), moment, k, residual, converged, history, energy, mean)
 
 
 def estimate_spectral_radius(
@@ -251,11 +252,14 @@ def estimate_spectral_radius(
     x -= x.mean(axis=(1, 2), keepdims=True)
     x /= math.sqrt(_inner(x, x) / (n * n))
     ratios = []
-    for _ in range(iterations):
-        y = -step.green.inverse(step(x)[2])
-        r = math.sqrt(_inner(y, y) / (n * n))
-        if r < 1e-13:
-            return 0.0
-        ratios.append(r)
-        x = y / r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            y = -step.green.inverse(step(x)[2])
+            r = math.sqrt(_inner(y, y) / (n * n))
+            if not math.isfinite(r):
+                raise ValueError(f"the power iteration overflows: lambda0 {ref.lambda0:g} is too large")
+            if r < 1e-13:
+                return 0.0
+            ratios.append(r)
+            x = y / r
     return float(np.exp(np.log(ratios[-5:]).sum() / len(ratios[-5:])))

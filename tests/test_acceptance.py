@@ -205,7 +205,7 @@ def test_criterion_6_voigt_reuss_bracketing():
         ref = select_reference(field, "arithmetic")
         eff = effective_tensor(field, ref, SolverConfig(tolerance=1e-9))
         bounds = voigt_reuss_bounds(field)
-        v = bracket_check(bounds, eff.tensor, rtol=1e-8)
+        v = bracket_check(bounds, eff.tensor)
         floor = -1e-8 * bounds.voigt.operator_norm()
         slacks[name] = (float(v.upper_slack.min()), float(v.lower_slack.min()))
         ok = ok and v.upper_slack.min() >= floor and v.lower_slack.min() >= floor

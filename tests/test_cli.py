@@ -472,8 +472,10 @@ class TestErrorBoundary:
             ("solve", ["--set", "e0=1,0,0", "--set", "reference.strategy=manual",
                        "--set", "reference.lambda0=1e308"]),
             ("homogenize", ["--set", "reference.strategy=manual", "--set", "reference.lambda0=1e308"]),
+            ("solve", ["--set", "e0=1e155,0,0"]),
+            ("spectrum", ["--set", "reference.strategy=manual", "--set", "reference.lambda0=1e308"]),
         ],
-        ids=["solve-e0", "solve-lambda0", "homogenize-lambda0"],
+        ids=["solve-e0", "solve-lambda0", "homogenize-lambda0", "solve-e0-squared", "spectrum-lambda0"],
     )
     def test_overflowing_first_step_exits_1(self, tmp_path, capsys, command, load):
         out = tmp_path / "run"

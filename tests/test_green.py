@@ -261,17 +261,17 @@ class TestSkewPotential:
         inv4pi2 = 1.0 / (4.0 * np.pi**2)
         # Gamma^{22}_{ij} = n_i n_j (-4 pi^2)^-1 with n = (1, 0)
         np.testing.assert_allclose(
-            skew.coeffs[1, 0, 1, 1], [[-inv4pi2, 0.0], [0.0, 0.0]], atol=1e-18
+            skew[1, 0, 1, 1], [[-inv4pi2, 0.0], [0.0, 0.0]], atol=1e-18
         )
         np.testing.assert_allclose(
-            skew.coeffs[1, 0, 0, 0], [[0.0, 0.0], [0.0, inv4pi2]], atol=1e-18
+            skew[1, 0, 0, 0], [[0.0, 0.0], [0.0, inv4pi2]], atol=1e-18
         )
         recon = reconstruct_from_skew(skew)
         np.testing.assert_allclose(recon.coeffs, coeffs, atol=1e-13)
 
     def test_zero_field(self):
         skew = build_skew_potential(SpectralField(np.zeros((4, 4, 3), dtype=complex)))
-        assert np.all(skew.coeffs == 0.0)
+        assert np.all(skew == 0.0)
 
     @pytest.mark.parametrize("n", [16, 17])
     def test_projected_random_field_reconstructs(self, n):
@@ -288,7 +288,7 @@ class TestSkewPotential:
         rng = np.random.default_rng(33)
         p = rng.standard_normal((16, 16, 3))
         _, sol, _ = weyl_decompose(SpectralField.from_real(p))
-        g = build_skew_potential(sol).coeffs
+        g = build_skew_potential(sol)
         np.testing.assert_allclose(g, g.transpose(0, 1, 2, 3, 5, 4), atol=1e-15)  # sym (i,j)
         np.testing.assert_allclose(g, -g.transpose(0, 1, 4, 5, 2, 3), atol=1e-15)  # skew pairs
 
@@ -369,6 +369,16 @@ class TestFrequencyGrid:
     def test_odd_grid_keeps_all_nonzero_modes(self):
         grid = FrequencyGrid(2, 9)
         assert grid.active_mask.sum() == 9 * 9 - 1
+
+    # at N = 16 the modes (3, 7) and (6, 7) give a shear entry that sqrt(2) * n1 * n2 rounds differently
+    @pytest.mark.parametrize("n", [8, 9, 16])
+    def test_mandel_nn_is_the_mandel_codec_of_n_outer_n(self, n):
+        grid = FrequencyGrid(2, n)
+        n1, n2 = grid.components
+        for i in range(n):
+            for j in range(n):
+                mode = np.array([n1[i, j], n2[i, j]])
+                np.testing.assert_array_equal(grid.mandel_nn[i, j], sym_to_mandel(np.outer(mode, mode)))
 
 
 def full_spectrum_residual(j_hat, grid):

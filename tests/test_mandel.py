@@ -83,6 +83,19 @@ class TestRoundTrips:
         np.testing.assert_allclose(sym_to_mandel(back), vec, rtol=ROUND_TRIP_RTOL, atol=0)
 
     @settings(deadline=None, derandomize=True)
+    @given(st.lists(sym_matrices(), min_size=1, max_size=5))
+    def test_sym_round_trip_of_stacks(self, mats):
+        stack = np.stack(mats)
+        vecs = sym_to_mandel(stack)
+        assert vecs.shape == (len(mats), 3)
+        for mat, vec in zip(mats, vecs):
+            np.testing.assert_array_equal(vec, sym_to_mandel(mat))
+        back = mandel_to_sym(vecs)
+        np.testing.assert_array_equal(back, np.swapaxes(back, -1, -2))
+        np.testing.assert_allclose(back, stack, rtol=ROUND_TRIP_RTOL, atol=0)
+        np.testing.assert_allclose(sym_to_mandel(back), vecs, rtol=ROUND_TRIP_RTOL, atol=0)
+
+    @settings(deadline=None, derandomize=True)
     @given(stiff_tensors())
     def test_stiff_round_trip(self, dense):
         mat = stiff_to_mandel(dense)

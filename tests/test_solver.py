@@ -253,7 +253,19 @@ class TestSolveCell:
     def test_energy_diagnostic_matches_solution_energy(self):
         f = generate_chessboard(1.0 * ID, 3.0 * ID, 16)
         s = solve(f, [1.0, 0.5, 0.0], tol=1e-12)
-        assert s.history.energies[-1] == pytest.approx(s.energy(), rel=1e-12)
+        assert s.energy == s.history.energies[-1]
+        # the loop's formula against <E : J> of the returned fields
+        assert s.energy == pytest.approx(float((s.curvature * s.moment).sum(axis=-1).mean()), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "field",
+        [generate_chessboard(1.0 * ID, 3.0 * ID, 16), generate_inclusion(1.0 * ID, 5.0 * ID, 0.3, 15)],
+        ids=["chessboard-16", "inclusion-15"],
+    )
+    def test_mean_moment_is_mean_of_moment_field(self, field):
+        s = solve(field, [1.0, -0.4, 0.6], tol=1e-10)
+        want = s.moment.mean(axis=(0, 1))
+        np.testing.assert_allclose(s.mean_moment.mandel, want, rtol=1e-14, atol=0)
 
     def test_chessboard_rotation_equivariance(self):
         # swapping phases equals rotating the cell by 90 degrees; the solution
