@@ -19,6 +19,8 @@ the Nyquist rows are excluded, matching the modes the grid operator resolves).
 An iteration costs two real FFTs and Gamma's one contraction s = n . p_hat . n of
 p = dC:E.  As n . J_hat_{k+1} . n = s_{k+1} - s_k on the active modes, the residual
 comes from Gamma's scalars; the loop runs on (M, N, N) iterates and an (M, M, N, N) dC.
+With >= 2 usable CPUs and N >= green._SPLIT_MIN_N, dC:E, the FFTs and Gamma run on two threads, with
+results bit-identical to one core (`taskset -c 0`); there is no setting.
 The reports' series_factor (apriori_bound) is the paper's trace-reference estimate.
 """
 from __future__ import annotations
@@ -175,7 +177,8 @@ class _NeumannStep:
 
     def __call__(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """dC:E, its spectrum's mean mode (copied: a view keeps the spectrum alive), Gamma's output and s."""
-        p = np.einsum("abxy,bxy->axy", self.dc, e)
+        p = np.empty(e.shape)
+        self.green.halves(lambda lo, hi: np.einsum("abxy,bxy->axy", self.dc[:, :, lo:hi], e[:, lo:hi], out=p[:, lo:hi]), self.green.n)
         p_hat = self.green.forward(p)
         return p, p_hat[:, 0, 0].copy(), *self.green.apply(p_hat)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import platefft
+from platefft import green
 from platefft.cli import main
 from platefft.fieldio import read_field, write_field
 from platefft.green import SpectralField, weyl_decompose
@@ -33,6 +34,22 @@ CHESSBOARD = (
     "--set", "micro.generator=chessboard", "--set", "micro.alpha=1",
     "--set", "micro.beta=3", "--set", "micro.n=4",
 )
+
+DIVERGENT = (
+    "--set", "micro.generator=chessboard", "--set", "micro.alpha=1",
+    "--set", "micro.beta=3", "--set", "micro.n=8",
+    "--set", "reference.strategy=manual", "--set", "reference.lambda0=0.05",
+    "--set", "solver.max_iterations=100", "--set", "e0=1,0,0",
+)
+
+OVERFLOWING = {
+    "solve-e0": ("solve", ["--set", "e0=1e308,0,0"]),
+    "solve-lambda0": ("solve", ["--set", "e0=1,0,0", "--set", "reference.strategy=manual",
+                                "--set", "reference.lambda0=1e308"]),
+    "homogenize-lambda0": ("homogenize", ["--set", "reference.strategy=manual", "--set", "reference.lambda0=1e308"]),
+    "solve-e0-squared": ("solve", ["--set", "e0=1e155,0,0"]),
+    "spectrum-lambda0": ("spectrum", ["--set", "reference.strategy=manual", "--set", "reference.lambda0=1e308"]),
+}
 
 
 def report_dict(path):
@@ -131,13 +148,7 @@ class TestSolveCommand:
 
     def test_divergent_manual_reference_exits_2_with_flag(self, tmp_path):
         out = tmp_path / "run"
-        code = run(
-            "solve", "--out", str(out),
-            "--set", "micro.generator=chessboard", "--set", "micro.alpha=1",
-            "--set", "micro.beta=3", "--set", "micro.n=8",
-            "--set", "reference.strategy=manual", "--set", "reference.lambda0=0.05",
-            "--set", "solver.max_iterations=100", "--set", "e0=1,0,0",
-        )
+        code = run("solve", "--out", str(out), *DIVERGENT)
         assert code == 2
         report = report_dict(out / "report.txt")
         assert report["converged"] == "false"
@@ -465,24 +476,30 @@ class TestErrorBoundary:
         assert "reference coefficient must be positive and finite" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command, load",
-        [
-            ("solve", ["--set", "e0=1e308,0,0"]),
-            ("solve", ["--set", "e0=1,0,0", "--set", "reference.strategy=manual",
-                       "--set", "reference.lambda0=1e308"]),
-            ("homogenize", ["--set", "reference.strategy=manual", "--set", "reference.lambda0=1e308"]),
-            ("solve", ["--set", "e0=1e155,0,0"]),
-            ("spectrum", ["--set", "reference.strategy=manual", "--set", "reference.lambda0=1e308"]),
-        ],
-        ids=["solve-e0", "solve-lambda0", "homogenize-lambda0", "solve-e0-squared", "spectrum-lambda0"],
-    )
+    @pytest.mark.parametrize("command, load", OVERFLOWING.values(), ids=OVERFLOWING.keys())
     def test_overflowing_first_step_exits_1(self, tmp_path, capsys, command, load):
         out = tmp_path / "run"
         err = run_rejected(capsys, command, "--out", str(out), *CHESSBOARD, *load)
         assert len(err.splitlines()) == 1
         assert "overflows" in err
         assert not out.exists()
+
+    def test_split_loop_keeps_exits_and_messages_without_warnings(self, tmp_path, capsys, monkeypatch):
+        # np.errstate is per context: the worker's halves must run under the caller's
+        def outcomes():
+            errors = [run_rejected(capsys, command, "--out", str(tmp_path / "run"), *CHESSBOARD, *load)
+                      for command, load in OVERFLOWING.values()]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run("solve", "--out", str(tmp_path / "divergent"), *DIVERGENT)
+            assert [str(w.message) for w in caught] == []
+            return errors, code, capsys.readouterr().err, (tmp_path / "divergent" / "report.txt").read_text()
+
+        unsplit = outcomes()
+        monkeypatch.setattr(green, "_CPUS", 2)
+        monkeypatch.setattr(green, "_SPLIT_MIN_N", 2)
+        assert outcomes() == unsplit
+        assert unsplit[1] == 2
 
     def test_process_exits_1_with_one_error_line(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from platefft import green
 from platefft.green import (
     FrequencyGrid,
     GreenOperator,
@@ -20,7 +21,9 @@ from platefft.green import (
     reconstruct_from_skew,
     weyl_decompose,
 )
-from platefft.mandel import SQRT2, identity_vector, sym_to_mandel
+from platefft.mandel import SQRT2, StiffTensor4, identity_vector, sym_to_mandel
+from platefft.microstructure import generate_inclusion
+from platefft.solver import _NeumannStep
 
 TWO_PI = 2.0 * np.pi
 
@@ -438,6 +441,26 @@ class TestGreenOperator:
             np.testing.assert_allclose((s_new - s)[active], want[active], rtol=0, atol=atol)
             np.testing.assert_allclose(p_hat[:, 0, 0] + n * n * lam * e0, j_hat[:, 0, 0], rtol=1e-13)
             s = s_new
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_split_passes_equal_unsplit_bit_for_bit(self, n, monkeypatch):
+        # the split is forced, so a one-CPU host runs it too; odd N halves the rows and columns unevenly
+        x = np.random.default_rng(1000 + n).standard_normal((3, n, n))
+        matrix, disc = StiffTensor4(np.diag([1.0, 2.0, 1.5])), StiffTensor4(np.diag([10.0, 12.0, 8.0]))
+        inclusion = generate_inclusion(matrix, disc, 0.3, n)
+        results = []
+        monkeypatch.setattr(green, "_CPUS", 2)
+        for split in (False, True):
+            monkeypatch.setattr(green, "_SPLIT_MIN_N", n if split else n + 1)
+            step = _NeumannStep(inclusion, 5.0)
+            assert step.green.split is split
+            p, p_hat0, gamma_hat, s = step(x)
+            op = step.green
+            x_hat = op.forward(x)
+            inverses = [op.inverse(gamma_hat.copy()), op.inverse(x_hat.copy())]
+            results.append([p, p_hat0, gamma_hat, s, x_hat, *op.apply(x_hat), *inverses])
+        for unsplit, split in zip(*results):
+            assert split.dtype == unsplit.dtype and split.tobytes() == unsplit.tobytes()
 
     @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
     @settings(deadline=None, max_examples=40, derandomize=True)

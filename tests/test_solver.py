@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import platefft
+from platefft import green
 from platefft.green import SpectralField, gamma_apply
 from platefft.mandel import StiffTensor4, SymTensor2, trace_dyad
 from platefft.microstructure import (
@@ -176,6 +181,37 @@ class TestSolveCell:
         assert interior.all()
         assert np.abs(s.curvature[..., 1]).max() < 1e-10
         assert np.abs(s.curvature[..., 2]).max() < 1e-10
+
+    def test_two_core_loop_identical_to_one_core(self, monkeypatch):
+        # N at the real gate, so a host with two CPUs splits the first run; the second has the gate off
+        n = green._SPLIT_MIN_N
+        f = generate_inclusion(1.0 * ID, StiffTensor4(np.diag([10.0, 12.0, 8.0])), 0.3, n)
+        ref = select_reference(f, "arithmetic")
+        config = SolverConfig(e0=SymTensor2(np.array([1.0, 0.5, 0.25])), tolerance=1e-300, max_iterations=3)
+
+        def outcome():
+            s = solve_cell(f, ref, config)
+            rho = estimate_spectral_radius(f, ref, 10, seed=5)
+            return s.curvature.tobytes(), s.moment.tobytes(), s.history, s.energy, rho
+
+        split = outcome()
+        monkeypatch.setattr(green, "_SPLIT_MIN_N", n + 1)
+        assert outcome() == split
+
+    def test_no_thread_at_import_or_small_n(self):
+        code = (
+            "import sys, threading\n"
+            "import numpy as np, platefft\n"
+            "from platefft import *\n"
+            "f = generate_chessboard(StiffTensor4.identity(), 3.0 * StiffTensor4.identity(), 16)\n"
+            "solve_cell(f, select_reference(f, 'arithmetic'), SolverConfig(e0=SymTensor2(np.array([1.0, 0, 0]))))\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(platefft.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_mean_preserved_every_iteration(self):
         f = generate_chessboard(1.0 * ID, 3.0 * ID, 16)
