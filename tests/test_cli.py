@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 import platefft
-from platefft import green
+from platefft import fieldio, green
 from platefft.cli import main
 from platefft.fieldio import read_field, write_field
 from platefft.green import SpectralField, weyl_decompose
+
+
+SRC = os.path.dirname(os.path.dirname(platefft.__file__))
 
 
 def run(*argv):
@@ -409,6 +412,25 @@ class TestDecomposeCommand:
 
 
 class TestDeterminism:
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_decompose_outputs_independent_of_cpu_count(self, tmp_path, capsys):
+        # N = 64: 12288 products per inner product, enough for BLAS to thread a dot product
+        # and so sum it in another order on two CPUs than on one
+        src = tmp_path / "in.field"
+        write_field(src, np.random.default_rng(7).standard_normal((64, 64, 3)))
+        assert run("decompose", str(src), "--out", str(tmp_path / "all")) == 0
+        one_cpu = (
+            "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from platefft.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", one_cpu, "decompose", str(src), "--out", str(tmp_path / "one")],
+            capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name in ("part_pot.field", "part_sol.field", "part_mean.field", "decompose_report.txt"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
     def test_solve_outputs_byte_identical(self, tmp_path):
         args = [
             "--set", "micro.generator=inclusion", "--set", "micro.alpha=1",
@@ -501,14 +523,31 @@ class TestErrorBoundary:
         assert outcomes() == unsplit
         assert unsplit[1] == 2
 
+    def test_failed_field_writer_exits_1_and_is_reaped(self, tmp_path, capfd, monkeypatch, split_writer):
+        field = tmp_path / "in.field"
+        write_field(field, np.random.default_rng(2).standard_normal((8, 8, 3)))
+        split_writer.clear()  # the input's writer
+        monkeypatch.setattr(fieldio, "_WRITER", str(tmp_path / "missing.py"))
+        err = run_rejected(capfd, "decompose", str(field), "--out", str(tmp_path / "run"))
+        assert len(err.splitlines()) == 1 and "field writer process exited" in err  # its own stderr is discarded
+        assert len(split_writer) == 1 and split_writer[0].returncode not in (None, 0)
+
+    def test_unwritable_field_fails_before_any_writer_starts(self, tmp_path, capsys, split_writer):
+        field = tmp_path / "in.field"
+        write_field(field, np.random.default_rng(2).standard_normal((8, 8, 3)))
+        split_writer.clear()  # the input's writer
+        (tmp_path / "run" / "part_pot.field").mkdir(parents=True)
+        err = run_rejected(capsys, "decompose", str(field), "--out", str(tmp_path / "run"))
+        assert "part_pot.field" in err
+        assert split_writer == []
+
     def test_process_exits_1_with_one_error_line(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        src = os.path.dirname(os.path.dirname(platefft.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "platefft.cli", "solve", "--out", str(blocker / "x"),
              *CHESSBOARD, "--set", "e0=1,0,0"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
         )
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()

@@ -7,12 +7,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from platefft import fieldio
 from platefft.fieldio import BLOCK_ROWS, FieldFormatError, read_field, write_field
 
 # Every finite float64, with the edge cases drawn explicitly as well.
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
                1.7976931348623157e308, -1.7976931348623157e308]
 FINITE_FLOATS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def assert_savetxt_body(path, values):
+    """The file holds np.savetxt's bytes for values under its header and reads back bit for bit."""
+    n = values.shape[0]
+    want = io.BytesIO()
+    np.savetxt(want, values.reshape(-1, 3), fmt="%.17g")
+    header, _, body = path.read_bytes().partition(b"\n")
+    assert header == f"plate-field v1 d 2 N {n} m 3".encode()
+    assert body == want.getvalue()
+    np.testing.assert_array_equal(read_field(path).view(np.int64), values.view(np.int64))
 
 
 @st.composite
@@ -52,12 +64,7 @@ class TestRoundTrip:
         values.reshape(-1)[-4:] = edges  # last, partial block
         path = tmp_path / "field.field"
         write_field(path, values)
-        want = io.BytesIO()
-        np.savetxt(want, values.reshape(-1, 3), fmt="%.17g")
-        header, _, body = path.read_bytes().partition(b"\n")
-        assert header == b"plate-field v1 d 2 N 91 m 3"
-        assert body == want.getvalue()
-        np.testing.assert_array_equal(read_field(path).view(np.int64), values.view(np.int64))
+        assert_savetxt_body(path, values)
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "field.field"
@@ -69,6 +76,56 @@ class TestRoundTrip:
         path = tmp_path / "x.field"
         path.write_text("\n  \nplate-field v1  d 2\tN 2 m 3\n1 2 3\n\n 4\t5  6\n7 8 9\r\n10 11 12")
         np.testing.assert_array_equal(read_field(path), np.arange(1.0, 13.0).reshape(2, 2, 3))
+
+
+class TestSplitWriter:
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("layout", ["contiguous", "moveaxis"])
+    def test_body_bytes_equal_savetxt(self, tmp_path, monkeypatch, split_writer, cpus, layout):
+        # N = 131: an odd row count, so unequal halves, each of more than one block
+        n = 131
+        half = n * n // 2
+        assert n * n % 2 and half > BLOCK_ROWS
+        monkeypatch.setattr(fieldio, "_CPUS", cpus)
+        rng = np.random.default_rng(11)
+        # the (N, N, M) view of an (M, N, N) grid, as cmd_solve writes it
+        values = np.moveaxis(rng.standard_normal((3, n, n)) * np.exp(rng.uniform(-300, 300, (3, n, n))), 0, -1)
+        if layout == "contiguous":
+            values = np.ascontiguousarray(values)
+        assert values.flags.c_contiguous is (layout == "contiguous")
+        edges = np.array([[-0.0, 5e-324, 1e308], [1e308, -0.0, -5e-324]])
+        for lo in (0, half - 2, half, n * n - 2):  # both ends of both halves
+            values[divmod(lo, n)] = edges[0]
+            values[divmod(lo + 1, n)] = edges[1]
+        path = tmp_path / "field.field"
+        write_field(path, values)
+        assert_savetxt_body(path, values)
+        assert [writer.returncode for writer in split_writer] == ([0] if cpus >= 2 else [])
+
+
+class TestConstantField:
+    @pytest.mark.parametrize("case", ["nonzero", "negative-zero", "mixed-zeros", "last-row-differs"])
+    def test_body_bytes_equal_savetxt(self, tmp_path, monkeypatch, case):
+        # N = 91 gives 8281 rows: two blocks, the last one partial
+        n = 91
+        values = np.empty((n, n, 3))
+        values[:] = [1.0, -2.5e-300, 3e300] if case == "nonzero" else -0.0
+        if case == "mixed-zeros":
+            values[40, 7, 1] = 0.0
+        if case == "last-row-differs":
+            values[-1, -1, 2] = 5e-324
+        formatted = []  # the value count of each format_rows call
+
+        def format_rows(flat, format_rows=fieldio.format_rows):
+            formatted.append(len(flat))
+            return format_rows(flat)
+
+        monkeypatch.setattr(fieldio, "format_rows", format_rows)
+        path = tmp_path / "field.field"
+        write_field(path, values)
+        assert_savetxt_body(path, values)
+        constant = case in ("nonzero", "negative-zero")
+        assert formatted == ([3] if constant else [3 * BLOCK_ROWS, 3 * (n * n - BLOCK_ROWS)])
 
 
 class TestErrors:
