@@ -71,8 +71,8 @@ class RunConfig:
     radius: float = 0.25
     strategy: str = "arithmetic"
     lambda0: float | None = None
-    tolerance: float = 1e-8
-    max_iterations: int = 5000
+    tolerance: float = SolverConfig.tolerance
+    max_iterations: int = SolverConfig.max_iterations
     e0: tuple[float, ...] | None = None
     seed: int = 0
     power_iterations: int = 30

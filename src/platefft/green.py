@@ -20,11 +20,15 @@ mandel(n (x) n): the Green operator of lam0 * Lap^2, which both C0 = lam0 * Id
 and the paper's trace reference xi -> lam0 * Tr(xi) * I give.  The zero
 frequency is annihilated (zero-mean convention).
 
-On grids with even N the Nyquist rows (any frequency component equal to -N/2)
-are deactivated in the grid operator: -N/2 and +N/2 alias to the same stored
-mode, which makes the odd (shear-coupling) part of the symbol ill-defined
-there and, if kept, injects spurious eigenmodes above the physical spectral
-radius.  Band-limited fields never touch those rows.
+One kernel, _gamma_multiply, forms s = n . P_hat . n and its projection; its one
+parameter is the mode set, a 1/|n|^4 table of FrequencyGrid, 0 off the set.
+inv_norm4 holds the resolved modes, for Gamma and the fixed point: on even N it
+drops the Nyquist rows (a component equal to -N/2), where -N/2 and +N/2 alias to
+one stored mode, which makes the odd (shear-coupling) part of the symbol
+ill-defined and, if kept, injects spurious eigenmodes above the physical
+spectral radius; band-limited fields never touch them.  inv_norm4_all holds
+every nonzero mode, for weyl_decompose and build_skew_potential, so that a
+solenoidal part has n . g_hat . n = 0 on the Nyquist rows too.
 """
 from __future__ import annotations
 
@@ -38,17 +42,15 @@ import numpy as np
 from .mandel import M, SymTensor2, mandel_to_sym, sym_to_mandel
 
 
-def green_fourier_coefficient(n) -> float:
-    """Fourier coefficient of the periodic biharmonic fundamental solution.
+def green_fourier_coefficient(n):
+    """Fourier coefficient -(2 pi)^-4 |n|^-4 of the periodic biharmonic fundamental solution, 0 at n = 0 (mean zero).
 
-    Returns -(2 pi)^-4 |n|^-4 for n != 0 and 0 for n = 0 (mean-zero
-    convention).
+    A float for one frequency, an array for frequencies stacked along the last axis.
     """
     n = np.asarray(n, dtype=float)
-    norm4 = float((n @ n) ** 2)
-    if norm4 == 0.0:
-        return 0.0
-    return -((2.0 * np.pi) ** -4) / norm4
+    norm4 = np.einsum("...i,...i->...", n, n) ** 2
+    coeff = np.divide(-((2.0 * np.pi) ** -4), norm4, out=np.zeros_like(norm4), where=norm4 > 0)
+    return float(coeff) if coeff.ndim == 0 else coeff
 
 
 def _lattice(d: int, cutoff: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -69,9 +71,9 @@ def green_evaluate(y, cutoff: int) -> float:
     coefficients are even in n.
     """
     y = np.asarray(y, dtype=float)
-    modes, nsq = _lattice(y.shape[0], cutoff)
+    modes, _ = _lattice(y.shape[0], cutoff)
     phase = sum(g * yk for g, yk in zip(modes, y))
-    coeff = -((2.0 * np.pi) ** -4) / nsq**2
+    coeff = green_fourier_coefficient(np.stack(modes, axis=-1))
     return float((coeff * np.exp(2j * np.pi * phase)).sum().real)
 
 
@@ -102,7 +104,8 @@ def _dyad(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
 class FrequencyGrid:
     """Integer DFT frequencies for an N x N grid, with cached symbol arrays.
 
-    inv_norm4 is 1/|n|^4 on the active modes and 0 on the inactive ones.
+    inv_norm4 is 1/|n|^4 on the resolved modes (no Nyquist rows on even N), for Gamma and the fixed point;
+    inv_norm4_all is 1/|n|^4 on every nonzero mode, for weyl_decompose and build_skew_potential; both 0 elsewhere.
     """
 
     d: int
@@ -118,18 +121,14 @@ class FrequencyGrid:
         n2 = np.broadcast_to(f[None, :], (self.n, self.n)).astype(float)
         nn = sym_to_mandel(_dyad(n1, n2))
         norm4 = (n1**2 + n2**2) ** 2
-        nyquist = np.zeros((self.n, self.n), dtype=bool)
-        if self.n % 2 == 0:
-            nyquist = (n1 == -self.n // 2) | (n2 == -self.n // 2)
-        active = (norm4 > 0) & ~nyquist
-        inv_norm4 = np.zeros_like(norm4)
-        inv_norm4[active] = 1.0 / norm4[active]
+        inv_norm4_all = np.divide(1.0, norm4, out=np.zeros_like(norm4), where=norm4 > 0)
+        inv_norm4 = np.where((n1 == -self.n / 2) | (n2 == -self.n / 2), 0.0, inv_norm4_all)  # Nyquist rows, even N only
         for name, arr in (
             ("components", (n1, n2)),
             ("mandel_nn", nn),
             ("norm4", norm4),
-            ("active_mask", active),
             ("inv_norm4", inv_norm4),
+            ("inv_norm4_all", inv_norm4_all),
         ):
             object.__setattr__(self, name, arr)
 
@@ -177,24 +176,29 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
 
 
 def _gamma_multiply(coeffs: np.ndarray, nn: np.ndarray, nn_scale: np.ndarray, gamma_hat: np.ndarray, s: np.ndarray) -> None:
-    """Gamma's symbol on (M, ...) spectra into gamma_hat, nn_scale = -nn/(lam0 |n|^4) or 0 if inactive, and s = n.P_hat.n."""
+    """s = n.P_hat.n, and nn_scale * s into gamma_hat, on (M, ...) spectra; nn_scale = c nn/|n|^4 on a mode set, 0 off it."""
     np.multiply(nn[0], coeffs[0], out=s)
     s += nn[1] * coeffs[1]
     s += nn[2] * coeffs[2]
     np.multiply(nn_scale, s, out=gamma_hat)
 
 
+def _project(coeffs: np.ndarray, grid: FrequencyGrid, inv_norm4: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """_gamma_multiply on a full (N, N, M) spectrum: c nn s / |n|^4 on the modes of the table inv_norm4, and s = n.P_hat.n."""
+    nn = np.moveaxis(grid.mandel_nn, -1, 0)
+    out, s = np.empty(coeffs.shape, dtype=complex), np.empty(coeffs.shape[:-1], dtype=complex)
+    _gamma_multiply(np.moveaxis(coeffs, -1, 0), nn, nn * (inv_norm4 * c), np.moveaxis(out, -1, 0), s)
+    return out, s
+
+
 def apply_gamma_coeffs(p_hat: np.ndarray, grid: FrequencyGrid, lambda0: float) -> np.ndarray:
     """Multiply coefficient array (N, N, M) by the Green-operator symbol.
 
-    Inactive modes (zero frequency; Nyquist rows on even grids) map to zero.
+    Modes off the resolved set (zero frequency; Nyquist rows on even grids) map to zero.
     """
     if lambda0 <= 0:
         raise ValueError(f"reference coefficient must be positive, got {lambda0}")
-    nn = np.moveaxis(grid.mandel_nn, -1, 0)
-    gamma_hat, s = np.empty((M, *p_hat.shape[:-1]), dtype=complex), np.empty(p_hat.shape[:-1], dtype=complex)
-    _gamma_multiply(np.moveaxis(p_hat, -1, 0), nn, nn * (grid.inv_norm4 * (-1.0 / lambda0)), gamma_hat, s)
-    return np.moveaxis(gamma_hat, 0, -1)
+    return _project(p_hat, grid, grid.inv_norm4, -1.0 / lambda0)[0]
 
 
 def gamma_apply(field: SpectralField, lambda0: float) -> SpectralField:
@@ -235,7 +239,7 @@ class GreenOperator:
         # Parseval multiplicity of the active modes: 1 in the columns that hold
         # their own conjugates (column 0; column N/2 of even grids), 2 elsewhere
         col = np.arange(grid.n // 2 + 1)
-        self.weights = np.where((col == 0) | (2 * col == grid.n), 1.0, 2.0) * grid.active_mask[half]
+        self.weights = np.where((col == 0) | (2 * col == grid.n), 1.0, 2.0) * (grid.inv_norm4[half] > 0)
 
     def halves(self, fn, length: int) -> None:
         """fn(lo, hi) on both halves of range(length), one on the worker in the caller's context (np.errstate), else fn(0, length)."""
@@ -284,17 +288,13 @@ class GreenOperator:
 def weyl_decompose(field: SpectralField) -> tuple[SpectralField, SpectralField, SymTensor2]:
     """Split a field into potential, zero-mean solenoidal, and constant parts.
 
-    The potential part projects each nonzero mode onto mandel(n (x) n); the
-    constant part is the field mean; the solenoidal remainder is whatever is
-    left.  The three parts are mutually L2-orthogonal and reconstruct the
-    input exactly.
+    The potential part projects each nonzero mode, the Nyquist rows of even
+    grids included, onto mandel(n (x) n); the constant part is the field mean;
+    the solenoidal remainder is whatever is left.  The three parts are mutually
+    L2-orthogonal and reconstruct the input exactly.
     """
     grid = FrequencyGrid(2, field.n)
-    nn = grid.mandel_nn
-    norm4 = np.where(grid.norm4 == 0, 1.0, grid.norm4)
-    s = (nn * field.coeffs).sum(axis=-1)
-    pot = nn * (s / norm4)[..., None]
-    pot[0, 0] = 0.0
+    pot, _ = _project(field.coeffs, grid, grid.inv_norm4_all, 1.0)
     sol = field.coeffs - pot
     sol[0, 0] = 0.0
     return SpectralField(pot), SpectralField(sol), field.mean()
@@ -314,21 +314,18 @@ def build_skew_potential(field: SpectralField) -> np.ndarray:
     tol = 1e-10
     grid = FrequencyGrid(2, field.n)
     scale = max(float(np.abs(field.coeffs).max()), 1e-300)
-    contraction = (grid.mandel_nn * field.coeffs).sum(axis=-1)
+    _, contraction = _project(field.coeffs, grid, grid.inv_norm4_all, 1.0)
     if np.abs(contraction).max() > tol * scale * max(grid.norm4.max() ** 0.5, 1.0):
         raise ValueError("input is not solenoidal: n . g_hat(n) . n != 0")
     if np.abs(field.coeffs[0, 0]).max() > tol * scale:
         raise ValueError("input has a nonzero mean")
     g = mandel_to_sym(field.coeffs)  # g^{ij}_n
     outer = _dyad(*grid.components)  # n_i n_j
-    norm4 = np.where(grid.norm4 == 0, 1.0, grid.norm4)
-    factor = 1.0 / (norm4 * (-4.0 * np.pi**2))
+    factor = grid.inv_norm4_all * (-1.0 / (4.0 * np.pi**2))
     # index order (s, h, i, j): -n_s n_h g^{ij} + g^{sh} n_i n_j, per mode
     term1 = outer[..., :, :, None, None] * g[..., None, None, :, :]
     term2 = g[..., :, :, None, None] * outer[..., None, None, :, :]
-    gamma = (-term1 + term2) * factor[..., None, None, None, None]
-    gamma[0, 0] = 0.0
-    return gamma
+    return (-term1 + term2) * factor[..., None, None, None, None]
 
 
 def reconstruct_from_skew(skew: np.ndarray) -> SpectralField:

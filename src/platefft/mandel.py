@@ -138,10 +138,6 @@ class StiffTensor4:
         """Symmetric fourth-order identity: C:e = e for every symmetric e."""
         return cls(np.eye(M))
 
-    def apply(self, e: SymTensor2) -> SymTensor2:
-        """Double contraction C:e as a Mandel matrix-vector product."""
-        return SymTensor2(self.mandel_matrix @ e.mandel)
-
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the Mandel matrix, ascending."""
         return np.linalg.eigvalsh(self.mandel_matrix)

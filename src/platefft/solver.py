@@ -87,9 +87,6 @@ class ConvergenceHistory:
         self.deltas.append(delta)
         self.energies.append(energy)
 
-    def __len__(self) -> int:
-        return len(self.iterations)
-
 
 @dataclass
 class CellSolution:

@@ -255,6 +255,45 @@ class TestWeylDecompose:
             assert abs(l2_inner(sol, mean_field)) <= 1e-10 * scale
 
 
+class TestModeSets:
+    """weyl_decompose projects every nonzero mode; Gamma only the resolved ones (no Nyquist rows on even N)."""
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(half=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), lam=st.floats(1e-3, 1e3))
+    def test_weyl_potential_part_is_minus_lam_gamma_off_the_nyquist_rows(self, parity, half, seed, lam):
+        n = 2 * half + parity
+        field = SpectralField.from_real(np.random.default_rng(seed).standard_normal((n, n, 3)))
+        pot, _, _ = weyl_decompose(field)
+        want = -lam * gamma_apply(field, lam).coeffs
+        f = int_freqs(n)
+        resolved = (f[:, None] != -n / 2) & (f[None, :] != -n / 2)  # every mode on odd N
+        atol = 1e-13 * np.abs(pot.coeffs).max()
+        np.testing.assert_allclose(pot.coeffs[resolved], want[resolved], rtol=0, atol=atol)
+        assert np.all(want[~resolved] == 0)
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(
+        half=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), k=st.integers(0, 13),
+        column=st.booleans(), amp=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+    )
+    def test_nyquist_potential_lands_in_pot_and_is_not_solenoidal(self, half, seed, k, column, amp):
+        n = 2 * half
+        grid = FrequencyGrid(2, n)
+        mode = (k % n, n // 2) if column else (n // 2, k % n)
+        _, sol0, _ = weyl_decompose(SpectralField.from_real(np.random.default_rng(seed).standard_normal((n, n, 3))))
+        nyquist = np.zeros_like(sol0.coeffs)
+        nyquist[mode] = amp * grid.mandel_nn[mode]
+        field = SpectralField(sol0.coeffs + nyquist)
+        pot, sol, _ = weyl_decompose(field)
+        atol = 1e-13 * np.abs(field.coeffs).max()
+        np.testing.assert_allclose(pot.coeffs, nyquist, rtol=0, atol=atol)
+        np.testing.assert_allclose(sol.coeffs, sol0.coeffs, rtol=0, atol=atol)
+        assert np.all(gamma_apply(field, 1.0).coeffs[mode] == 0)
+        with pytest.raises(ValueError, match="solenoidal"):
+            build_skew_potential(field)
+
+
 class TestSkewPotential:
     def test_single_mode_example(self):
         n = 8
@@ -366,12 +405,15 @@ class TestFrequencyGrid:
         grid = FrequencyGrid(2, 8)
         n1, n2 = grid.components
         nyq = (n1 == -4) | (n2 == -4)
-        assert np.all(~grid.active_mask[nyq])
-        assert np.all(grid.active_mask[(~nyq) & (grid.norm4 > 0)])
+        assert np.all(grid.inv_norm4[nyq] == 0)
+        assert np.all(grid.inv_norm4[(~nyq) & (grid.norm4 > 0)] > 0)
+        np.testing.assert_array_equal(grid.inv_norm4_all[grid.norm4 > 0], 1.0 / grid.norm4[grid.norm4 > 0])
+        assert grid.inv_norm4_all[0, 0] == 0
 
     def test_odd_grid_keeps_all_nonzero_modes(self):
         grid = FrequencyGrid(2, 9)
-        assert grid.active_mask.sum() == 9 * 9 - 1
+        assert (grid.inv_norm4 > 0).sum() == 9 * 9 - 1
+        np.testing.assert_array_equal(grid.inv_norm4, grid.inv_norm4_all)
 
     # at N = 16 the modes (3, 7) and (6, 7) give a shear entry that sqrt(2) * n1 * n2 rounds differently
     @pytest.mark.parametrize("n", [8, 9, 16])
@@ -387,7 +429,7 @@ class TestFrequencyGrid:
 def full_spectrum_residual(j_hat, grid):
     """sqrt(sum over active n of |n.J_hat.n|^2) / |J_hat(0)| on the full fftn spectrum."""
     s = (grid.mandel_nn * j_hat).sum(axis=-1)
-    num = math.sqrt(float((np.abs(s) ** 2)[grid.active_mask].sum()))
+    num = math.sqrt(float((np.abs(s) ** 2)[grid.inv_norm4 > 0].sum()))
     return num / float(np.linalg.norm(j_hat[0, 0]))
 
 

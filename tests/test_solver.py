@@ -274,7 +274,7 @@ class TestSolveCell:
         f = generate_chessboard(1.0 * ID, 3.0 * ID, 8)
         s = solve(f, [1.0, 0.0, 0.0], strategy="manual", lambda0=0.05, max_iter=200)
         assert not s.converged
-        assert len(s.history) == s.iterations >= 1
+        assert len(s.history.iterations) == s.iterations >= 1
         assert not (s.final_residual <= 1e-10)
 
     def test_history_columns_consistent(self):
