@@ -77,23 +77,6 @@ def green_evaluate(y, cutoff: int) -> float:
     return float((coeff * np.exp(2j * np.pi * phase)).sum().real)
 
 
-def gamma_symbol(n, lambda0: float) -> np.ndarray:
-    """Green-operator symbol at one integer frequency, as an M x M Mandel matrix.
-
-    For n != 0 this is the rank-one operator
-    P_hat -> -(n (x) n)(n . P_hat . n) / (lambda0 |n|^4); for n = 0 the zero
-    operator.
-    """
-    if lambda0 <= 0:
-        raise ValueError(f"reference coefficient must be positive, got {lambda0}")
-    n = np.asarray(n, dtype=float)
-    norm4 = float((n @ n) ** 2)
-    if norm4 == 0.0:
-        return np.zeros((M, M))
-    nn = sym_to_mandel(np.outer(n, n))
-    return -np.outer(nn, nn) / (lambda0 * norm4)
-
-
 def _dyad(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """n (x) n per mode, shape (..., 2, 2), from the frequency components."""
     nvec = np.stack([n1, n2], axis=-1)
@@ -126,7 +109,6 @@ class FrequencyGrid:
         for name, arr in (
             ("components", (n1, n2)),
             ("mandel_nn", nn),
-            ("norm4", norm4),
             ("inv_norm4", inv_norm4),
             ("inv_norm4_all", inv_norm4_all),
         ):
@@ -240,6 +222,9 @@ class GreenOperator:
         # their own conjugates (column 0; column N/2 of even grids), 2 elsewhere
         col = np.arange(grid.n // 2 + 1)
         self.weights = np.where((col == 0) | (2 * col == grid.n), 1.0, 2.0) * (grid.inv_norm4[half] > 0)
+        # |(Gamma P)^| = |nn s| / (lam0 |n|^4) = |s| / (lam0 |n|^2): |amp s| is the mode's part of Gamma P's RMS
+        # (Parseval); rms() scales s before squaring, as s^2 and (lam0 N^2)^2 overflow where Gamma P does not
+        self.amp = np.sqrt(self.weights * grid.inv_norm4[half]) / lambda0 / grid.n**2
 
     def halves(self, fn, length: int) -> None:
         """fn(lo, hi) on both halves of range(length), one on the worker in the caller's context (np.errstate), else fn(0, length)."""
@@ -276,8 +261,13 @@ class GreenOperator:
         self.halves(lambda lo, hi: _gamma_multiply(*(a[:, lo:hi] for a in (coeffs, self.nn, self.nn_scale, gamma_hat)), s[lo:hi]), self.n)
         return gamma_hat, s
 
+    def rms(self, s: np.ndarray) -> float:
+        """RMS of the real field Gamma * P, from its scalars s = n . P_hat . n: sqrt(sum over active n of |amp s|^2)."""
+        a = (self.amp * s).view(float)  # real and imaginary parts, interleaved
+        return math.sqrt(float(np.einsum("xy,xy->", a, a)))
+
     def equilibrium_residual(self, ds: np.ndarray, j0: np.ndarray) -> float:
-        """sqrt(sum over active n of |n.J_hat.n|^2) / |J_hat(0)|, from ds = n.J_hat.n and j0 = J_hat(0)."""
+        """sqrt(sum over active n of |n.J_hat.n|^2) / |J_hat(0)|, from ds = +-n.J_hat.n and j0 = J_hat(0)."""
         num = math.sqrt(float((self.weights * (ds.real**2 + ds.imag**2)).sum()))
         den = float(np.linalg.norm(j0))
         if den == 0.0:
@@ -303,10 +293,11 @@ def weyl_decompose(field: SpectralField) -> tuple[SpectralField, SpectralField, 
 def build_skew_potential(field: SpectralField) -> np.ndarray:
     """Fourth-order potential whose double divergence reproduces a solenoidal field.
 
-    Requires n . g_hat(n) . n = 0 for every mode and g_hat(0) = 0 (relative
-    tolerance 1e-10).  Returns the per-frequency potential Gamma^{sh}_{ij} as a
-    complex (N, N, 2, 2, 2, 2) array with index order (s, h, i, j), symmetric in
-    (i, j) and skew between the index pairs; per nonzero mode
+    Requires |n . g_hat(n) . n| / |n|^2, the size of the mode's potential part,
+    and |g_hat(0)| to be at most 1e-10 max |g_hat| on every mode.  Returns the
+    per-frequency potential Gamma^{sh}_{ij} as a complex (N, N, 2, 2, 2, 2) array
+    with index order (s, h, i, j), symmetric in (i, j) and skew between the index
+    pairs; per nonzero mode
 
         Gamma^{sh}_{ij,n} = (-g^{ij}_n n_s n_h + g^{sh}_n n_i n_j)
                             |n|^-4 (-4 pi^2)^-1.
@@ -315,7 +306,7 @@ def build_skew_potential(field: SpectralField) -> np.ndarray:
     grid = FrequencyGrid(2, field.n)
     scale = max(float(np.abs(field.coeffs).max()), 1e-300)
     _, contraction = _project(field.coeffs, grid, grid.inv_norm4_all, 1.0)
-    if np.abs(contraction).max() > tol * scale * max(grid.norm4.max() ** 0.5, 1.0):
+    if (np.abs(contraction) * np.sqrt(grid.inv_norm4_all)).max() > tol * scale:
         raise ValueError("input is not solenoidal: n . g_hat(n) . n != 0")
     if np.abs(field.coeffs[0, 0]).max() > tol * scale:
         raise ValueError("input has a nonzero mean")

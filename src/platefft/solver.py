@@ -18,7 +18,9 @@ the Nyquist rows are excluded, matching the modes the grid operator resolves).
 
 An iteration costs two real FFTs and Gamma's one contraction s = n . p_hat . n of
 p = dC:E.  As n . J_hat_{k+1} . n = s_{k+1} - s_k on the active modes, the residual
-comes from Gamma's scalars; the loop runs on (M, N, N) iterates and an (M, M, N, N) dC.
+comes from Gamma's scalars; so do delta, the RMS of E_k - E_{k-1} = Gamma (p_{k-1} - p_{k-2}),
+and the power iteration's ratio |B x|, as Gamma's output on a mode has size |s| / (lam0 |n|^2)
+(GreenOperator.rms).  The loop holds one (M, N, N) iterate and an (M, M, N, N) dC.
 With >= 2 usable CPUs and N >= green._SPLIT_MIN_N, dC:E, the FFTs and Gamma run on two threads, with
 results bit-identical to one core (`taskset -c 0`); there is no setting.
 The reports' series_factor (apriori_bound) is the paper's trace-reference estimate.
@@ -211,23 +213,24 @@ def solve_cell(
     # divergent references overflow before their residual turns non-finite and ends the loop
     with np.errstate(over="ignore", invalid="ignore"):
         p, _, e_hat, s = step(e)
+        delta = step.green.rms(s)  # |E_1 - E_0|: E_1 - E_0 = Gamma (dC:E_0), whose scalars are s_0
         for k in range(1, config.max_iterations + 1):
             e_hat[:, 0, 0] = n * n * e0  # Gamma zeroes the mean mode; E0 fills it
-            e_new = step.green.inverse(e_hat)
-            d = e_new - e
-            delta = math.sqrt(_inner(d, d) / (n * n))
-            del e_hat, p, d  # dead, as is the last iterate: free them before step() allocates the next
-            e = e_new
+            del e, p  # dead, as is e_hat once inverted: free them before step() allocates the next
+            e = step.green.inverse(e_hat)
+            del e_hat
             p, p_hat0, e_hat, s_new = step(e)
             j0 = p_hat0 + n * n * lam * e0
-            residual = step.green.equilibrium_residual(s_new - s, j0)
+            s -= s_new  # s_{k-1} - s_k = -n.J_hat_k.n, and the scalars of E_k - E_{k+1}
+            residual = step.green.equilibrium_residual(s, j0)
             energy = (_inner(e, p) + lam * _inner(e, e)) / (n * n)
             history.append(k, residual, delta, energy)
             if k == 1 and not (math.isfinite(residual) and math.isfinite(energy)):
                 raise ValueError(f"the first iteration overflows: e0 {e0.tolist()} or lambda0 {lam:g} is too large")
-            s = s_new
             if residual <= config.tolerance or not math.isfinite(residual):
                 break
+            delta = step.green.rms(s)  # the next row's |E_{k+1} - E_k|
+            s = s_new
         converged = residual <= config.tolerance
         moment = np.moveaxis(p + lam * e, 0, -1)
         mean = SymTensor2(j0.real / (n * n))
@@ -254,12 +257,13 @@ def estimate_spectral_radius(
     ratios = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(iterations):
-            y = -step.green.inverse(step(x)[2])
-            r = math.sqrt(_inner(y, y) / (n * n))
+            _, _, y_hat, s = step(x)
+            r = step.green.rms(s)  # |B x|, from Gamma's scalars
             if not math.isfinite(r):
                 raise ValueError(f"the power iteration overflows: lambda0 {ref.lambda0:g} is too large")
             if r < 1e-13:
                 return 0.0
             ratios.append(r)
-            x = y / r
+            x = step.green.inverse(y_hat)
+            x /= -r  # B x / |B x|
     return float(np.exp(np.log(ratios[-5:]).sum() / len(ratios[-5:])))

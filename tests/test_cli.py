@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -12,6 +13,8 @@ from platefft import fieldio, green
 from platefft.cli import main
 from platefft.fieldio import read_field, write_field
 from platefft.green import SpectralField, weyl_decompose
+from platefft.mandel import StiffTensor4
+from platefft.microstructure import generate_inclusion, save_microstructure
 
 
 SRC = os.path.dirname(os.path.dirname(platefft.__file__))
@@ -341,6 +344,16 @@ class TestSpectrumCommand:
         assert not any(l.startswith("bound ") for l in lines)
         assert any(l.startswith("estimate ") for l in lines)
 
+    def test_huge_manual_reference_gives_finite_estimate(self, tmp_path, capsys):
+        # Gamma's output is O(1) while dC:E and its scalars are O(lambda0): their squares must not be formed
+        code = run(
+            "spectrum", "--out", str(tmp_path / "run"), "--seed", "7", *CHESSBOARD,
+            "--set", "reference.strategy=manual", "--set", "reference.lambda0=1e200",
+        )
+        assert code == 0
+        estimate = [l for l in capsys.readouterr().out.splitlines() if l.startswith("estimate ")]
+        assert math.isfinite(float(estimate[0].split()[1]))
+
 
 class TestGreenCommand:
     def test_eight_term_value(self, capsys):
@@ -553,3 +566,32 @@ class TestErrorBoundary:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+
+class TestBenchmarkReach:
+    """The benchmark's tracer (perfbench/tracing.py) patches program names; each must still be reached."""
+
+    SPANS = {
+        "microstructure.load", "microstructure.mandel_grid", "green.frequency_grid",
+        "solver.select_reference", "solver.apriori_bound", "solver.solve_cell",
+        "homogenize.effective_tensor", "homogenize.bounds", "fieldio.write", "fieldio.read",
+        "green.weyl_decompose", "green.to_real",
+    }
+
+    def test_every_traced_name_records_a_span(self, tmp_path):
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py")
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        micro = tmp_path / "cell.micro"
+        save_microstructure(generate_inclusion(StiffTensor4.identity(), StiffTensor4(3.0 * np.eye(3)), 0.3, 8), str(micro))
+        field = tmp_path / "in.field"
+        write_field(field, np.random.default_rng(4).standard_normal((8, 8, 3)))
+        cell = ("--set", f"micro.file={micro}")
+        tracer = tracing.Tracer()
+        with tracing.instrument(tracer):
+            assert run("solve", "--out", str(tmp_path / "solve"), *cell, "--set", "e0=1,0,0") == 0
+            assert run("homogenize", "--out", str(tmp_path / "homogenize"), *cell) == 0
+            assert run("decompose", str(field), "--out", str(tmp_path / "decompose")) == 0
+        assert {span["name"] for span in tracer.spans} == self.SPANS
+        assert set(tracing.probe_green(8)) == {"apply_gamma_s", "fft_s"}

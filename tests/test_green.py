@@ -14,7 +14,6 @@ from platefft.green import (
     build_skew_potential,
     dirac_sobolev_partial_sum,
     gamma_apply,
-    gamma_symbol,
     green_evaluate,
     green_fourier_coefficient,
     l2_inner,
@@ -131,18 +130,29 @@ def single_mode_oracle(n, lambda0, p_mandel):
     return -4.0 * np.pi**2 * nn * w_hat
 
 
+def gamma_on_mode(n, lambda0, p, size=16):
+    """Gamma applied to a spectrum carrying the Mandel vector p on the one mode n; its value there."""
+    coeffs = np.zeros((size, size, 3), dtype=complex)
+    coeffs[n[0] % size, n[1] % size] = p
+    out = gamma_apply(SpectralField(coeffs), lambda0).coeffs
+    others = np.ones((size, size), dtype=bool)
+    others[n[0] % size, n[1] % size] = False
+    assert not out[others].any()  # Gamma acts mode by mode
+    return out[n[0] % size, n[1] % size].real
+
+
 class TestGammaSymbol:
     def test_identity_input_unit_frequency(self):
-        out = gamma_symbol([1, 0], 1.0) @ identity_vector()
+        out = gamma_on_mode([1, 0], 1.0, identity_vector())
         np.testing.assert_allclose(out, [-1.0, 0.0, 0.0], atol=1e-15)
 
     def test_solenoidal_single_mode_annihilated(self):
         p = sym_to_mandel(np.array([[0.0, 0.5], [0.5, 0.0]]))  # sym(e1 x e2)
-        out = gamma_symbol([1, 0], 1.0) @ p
+        out = gamma_on_mode([1, 0], 1.0, p)
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_diagonal_frequency_quarter(self):
-        out = gamma_symbol([1, 1], 2.0) @ identity_vector()
+        out = gamma_on_mode([1, 1], 2.0, identity_vector())
         want = -0.25 * np.array([1.0, 1.0, SQRT2])  # -1/4 mandel(n x n)
         np.testing.assert_allclose(out, want, atol=1e-15)
 
@@ -154,15 +164,16 @@ class TestGammaSymbol:
                 continue
             lam = float(rng.uniform(0.5, 5.0))
             p = rng.standard_normal(3)
-            got = gamma_symbol(n, lam) @ p
+            got = gamma_on_mode(n, lam, p)
             np.testing.assert_allclose(got, single_mode_oracle(n, lam, p), rtol=1e-12, atol=1e-14)
 
     def test_zero_frequency_is_zero_operator(self):
-        np.testing.assert_array_equal(gamma_symbol([0, 0], 1.0), np.zeros((3, 3)))
+        np.testing.assert_array_equal(gamma_on_mode([0, 0], 1.0, [1.0, -2.0, 3.0]), np.zeros(3))
 
     def test_nonpositive_reference_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            gamma_symbol([1, 0], 0.0)
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                gamma_apply(SpectralField(np.zeros((4, 4, 3), dtype=complex)), lam)
 
 
 class TestGammaApply:
@@ -341,6 +352,17 @@ class TestSkewPotential:
         with pytest.raises(ValueError, match="solenoidal"):
             build_skew_potential(SpectralField.from_real(p))
 
+    def test_low_mode_potential_rejected(self):
+        # a potential of 1e-7 max|g_hat| on the modes (+-1, 0): within 1e-10 max|g_hat| max|n|^2, not per mode
+        n = 64
+        _, sol, _ = weyl_decompose(SpectralField.from_real(np.random.default_rng(36).standard_normal((n, n, 3))))
+        coeffs = sol.coeffs.copy()
+        eps = 1e-7 * np.abs(coeffs).max()
+        coeffs[1, 0] += [eps, 0.0, 0.0]  # eps mandel(n (x) n) at n = (1, 0)
+        coeffs[-1, 0] += [eps, 0.0, 0.0]
+        with pytest.raises(ValueError, match="solenoidal"):
+            build_skew_potential(SpectralField(coeffs))
+
     def test_nonzero_mean_rejected(self):
         coeffs = np.zeros((4, 4, 3), dtype=complex)
         coeffs[0, 0] = [1.0, 1.0, 0.0]
@@ -391,11 +413,17 @@ class TestDiracSobolevSums:
         assert got == pytest.approx(want, rel=1e-13)
 
 
+def norm4_of(grid):
+    """|n|^4 per mode, from the frequency components."""
+    n1, n2 = grid.components
+    return (n1**2 + n2**2) ** 2
+
+
 class TestFrequencyGrid:
     @pytest.mark.parametrize("n", [4, 5, 8])
     def test_frequency_count_and_zero(self, n):
         grid = FrequencyGrid(2, n)
-        zeros = (grid.norm4 == 0).sum()
+        zeros = (norm4_of(grid) == 0).sum()
         assert zeros == 1
         lo, hi = -(n // 2), (n + 1) // 2 - 1
         for comp in grid.components:
@@ -405,9 +433,10 @@ class TestFrequencyGrid:
         grid = FrequencyGrid(2, 8)
         n1, n2 = grid.components
         nyq = (n1 == -4) | (n2 == -4)
+        norm4 = norm4_of(grid)
         assert np.all(grid.inv_norm4[nyq] == 0)
-        assert np.all(grid.inv_norm4[(~nyq) & (grid.norm4 > 0)] > 0)
-        np.testing.assert_array_equal(grid.inv_norm4_all[grid.norm4 > 0], 1.0 / grid.norm4[grid.norm4 > 0])
+        assert np.all(grid.inv_norm4[(~nyq) & (norm4 > 0)] > 0)
+        np.testing.assert_array_equal(grid.inv_norm4_all[norm4 > 0], 1.0 / norm4[norm4 > 0])
         assert grid.inv_norm4_all[0, 0] == 0
 
     def test_odd_grid_keeps_all_nonzero_modes(self):

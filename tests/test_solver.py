@@ -147,6 +147,13 @@ class TestEstimateSpectralRadius:
             estimate_spectral_radius(f, select_reference(f, "arithmetic"), 5, seed=0)
 
 
+SMALL_CELLS = [
+    pytest.param(generate_chessboard(1.0 * ID, 3.0 * ID, 16), id="chessboard-16"),
+    # odd N: the last stored half-spectrum column has an implicit partner
+    pytest.param(generate_inclusion(1.0 * ID, 3.0 * ID, 0.3, 15), id="inclusion-15"),
+]
+
+
 def solve(field, e0, strategy="arithmetic", lambda0=None, tol=1e-10, max_iter=5000):
     ref = select_reference(field, strategy, lambda0)
     config = SolverConfig(e0=SymTensor2(np.asarray(e0, dtype=float)), tolerance=tol,
@@ -238,14 +245,7 @@ class TestSolveCell:
         for i in range(10, len(res) - 1):
             assert res[i + 1] <= res[i] * (rho + 0.1)
 
-    @pytest.mark.parametrize(
-        "f",
-        [
-            pytest.param(generate_chessboard(1.0 * ID, 3.0 * ID, 16), id="chessboard-16"),
-            # odd N: the last stored half-spectrum column has an implicit partner
-            pytest.param(generate_inclusion(1.0 * ID, 3.0 * ID, 0.3, 15), id="inclusion-15"),
-        ],
-    )
+    @pytest.mark.parametrize("f", SMALL_CELLS)
     def test_two_iterations_match_neumann_truncation(self, f):
         n = f.n
         ref = select_reference(f, "arithmetic")
@@ -263,6 +263,17 @@ class TestSolveCell:
         term1 = apply_b(np.array(term0))
         term2 = apply_b(term1)
         np.testing.assert_allclose(s.curvature, term0 + term1 + term2, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("f", SMALL_CELLS)
+    def test_delta_is_rms_of_iterate_step(self, f):
+        # deltas[k-1] = RMS of E_k - E_{k-1}, with E_k the curvature of a solve cut after k iterations
+        e0 = np.array([1.0, -0.2, 0.7])
+        deltas = solve(f, e0, tol=1e-300, max_iter=3).history.deltas
+        iterates = [np.broadcast_to(e0, (f.n, f.n, 3))]
+        iterates += [solve(f, e0, tol=1e-300, max_iter=k).curvature for k in (1, 2, 3)]
+        for k in (1, 2, 3):
+            d = iterates[k] - iterates[k - 1]
+            assert deltas[k - 1] == pytest.approx(math.sqrt((d**2).sum(axis=-1).mean()), rel=1e-12)
 
     def test_moment_is_pointwise_product(self):
         f = generate_chessboard(1.0 * ID, 3.0 * ID, 8)
