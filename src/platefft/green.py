@@ -157,20 +157,25 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
     return float(total) / a.n**4
 
 
-def _gamma_multiply(coeffs: np.ndarray, nn: np.ndarray, nn_scale: np.ndarray, gamma_hat: np.ndarray, s: np.ndarray) -> None:
-    """s = n.P_hat.n, and nn_scale * s into gamma_hat, on (M, ...) spectra; nn_scale = c nn/|n|^4 on a mode set, 0 off it."""
+def _contract(coeffs: np.ndarray, nn: np.ndarray, s: np.ndarray) -> None:
+    """s = n.P_hat.n into s, from an (M, ...) spectrum and nn = mandel(n (x) n); build_skew_potential's check runs it alone."""
     np.multiply(nn[0], coeffs[0], out=s)
     s += nn[1] * coeffs[1]
     s += nn[2] * coeffs[2]
+
+
+def _gamma_multiply(coeffs: np.ndarray, nn: np.ndarray, nn_scale: np.ndarray, gamma_hat: np.ndarray, s: np.ndarray) -> None:
+    """s = n.P_hat.n, then nn_scale * s into gamma_hat, which may be coeffs, on (M, ...) spectra; nn_scale = c nn/|n|^4 on a mode set, 0 off it."""
+    _contract(coeffs, nn, s)
     np.multiply(nn_scale, s, out=gamma_hat)
 
 
-def _project(coeffs: np.ndarray, grid: FrequencyGrid, inv_norm4: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """_gamma_multiply on a full (N, N, M) spectrum: c nn s / |n|^4 on the modes of the table inv_norm4, and s = n.P_hat.n."""
+def _project(coeffs: np.ndarray, grid: FrequencyGrid, inv_norm4: np.ndarray, c: float) -> np.ndarray:
+    """_gamma_multiply on a full (N, N, M) spectrum: c nn s / |n|^4 on the modes of the table inv_norm4, s = n.P_hat.n."""
     nn = np.moveaxis(grid.mandel_nn, -1, 0)
     out, s = np.empty(coeffs.shape, dtype=complex), np.empty(coeffs.shape[:-1], dtype=complex)
     _gamma_multiply(np.moveaxis(coeffs, -1, 0), nn, nn * (inv_norm4 * c), np.moveaxis(out, -1, 0), s)
-    return out, s
+    return out
 
 
 def apply_gamma_coeffs(p_hat: np.ndarray, grid: FrequencyGrid, lambda0: float) -> np.ndarray:
@@ -180,7 +185,7 @@ def apply_gamma_coeffs(p_hat: np.ndarray, grid: FrequencyGrid, lambda0: float) -
     """
     if lambda0 <= 0:
         raise ValueError(f"reference coefficient must be positive, got {lambda0}")
-    return _project(p_hat, grid, grid.inv_norm4, -1.0 / lambda0)[0]
+    return _project(p_hat, grid, grid.inv_norm4, -1.0 / lambda0)
 
 
 def gamma_apply(field: SpectralField, lambda0: float) -> SpectralField:
@@ -201,7 +206,7 @@ _worker = None  # the one-thread executor of the first halves, created by the fi
 
 
 class GreenOperator:
-    """The Green operator of one reference lam0, acting on real component-major (M, N, N) fields.
+    """The Green operator of one reference lam0 on real component-major (M, N, N) fields, in buffers its caller owns.
 
     It works on the rfft2 half spectrum over the last two axes, shape (M, N, N//2 + 1):
     column j holds n2 = j, and n2 = -j is left implicit as its conjugate.  On even grids
@@ -241,25 +246,19 @@ class GreenOperator:
         finally:
             first.result()
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """Half spectrum of a real (M, N, N) field: rfft along each row, then fft along each column in place."""
-        out = np.empty((*values.shape[:-1], self.n // 2 + 1), dtype=complex)
+    def forward(self, values: np.ndarray, out: np.ndarray) -> None:
+        """Half spectrum of a real (M, N, N) field into out: rfft along each row, then fft along each column in place."""
         self.halves(lambda lo, hi: np.fft.rfft(values[:, lo:hi], axis=-1, out=out[:, lo:hi]), self.n)
         self.halves(lambda lo, hi: np.fft.fft(out[..., lo:hi], axis=-2, out=out[..., lo:hi]), self.n // 2 + 1)
-        return out
 
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real (M, N, N) field with the given half spectrum; overwrites coeffs, whose columns it inverts in place."""
-        out = np.empty((*coeffs.shape[:-1], self.n))
+    def inverse(self, coeffs: np.ndarray, out: np.ndarray) -> None:
+        """Real (M, N, N) field with the half spectrum coeffs into out; overwrites coeffs, whose columns it inverts in place."""
         self.halves(lambda lo, hi: np.fft.ifft(coeffs[..., lo:hi], axis=-2, out=coeffs[..., lo:hi]), self.n // 2 + 1)
         self.halves(lambda lo, hi: np.fft.irfft(coeffs[:, lo:hi], n=self.n, axis=-1, out=out[:, lo:hi]), self.n)
-        return out
 
-    def apply(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Half spectrum of Gamma * P and the scalars s = n . P_hat . n, from the half spectrum of P."""
-        gamma_hat, s = np.empty_like(coeffs), np.empty(coeffs.shape[1:], dtype=complex)
-        self.halves(lambda lo, hi: _gamma_multiply(*(a[:, lo:hi] for a in (coeffs, self.nn, self.nn_scale, gamma_hat)), s[lo:hi]), self.n)
-        return gamma_hat, s
+    def apply(self, coeffs: np.ndarray, s: np.ndarray) -> None:
+        """Gamma * P's half spectrum in place of P's (coeffs), and the scalars s = n . P_hat . n into s, shape (N, N//2 + 1)."""
+        self.halves(lambda lo, hi: _gamma_multiply(*(a[:, lo:hi] for a in (coeffs, self.nn, self.nn_scale, coeffs)), s[lo:hi]), self.n)
 
     def rms(self, s: np.ndarray) -> float:
         """RMS of the real field Gamma * P, from its scalars s = n . P_hat . n: sqrt(sum over active n of |amp s|^2)."""
@@ -284,7 +283,7 @@ def weyl_decompose(field: SpectralField) -> tuple[SpectralField, SpectralField, 
     L2-orthogonal and reconstruct the input exactly.
     """
     grid = FrequencyGrid(2, field.n)
-    pot, _ = _project(field.coeffs, grid, grid.inv_norm4_all, 1.0)
+    pot = _project(field.coeffs, grid, grid.inv_norm4_all, 1.0)
     sol = field.coeffs - pot
     sol[0, 0] = 0.0
     return SpectralField(pot), SpectralField(sol), field.mean()
@@ -305,7 +304,8 @@ def build_skew_potential(field: SpectralField) -> np.ndarray:
     tol = 1e-10
     grid = FrequencyGrid(2, field.n)
     scale = max(float(np.abs(field.coeffs).max()), 1e-300)
-    _, contraction = _project(field.coeffs, grid, grid.inv_norm4_all, 1.0)
+    contraction = np.empty(field.coeffs.shape[:-1], dtype=complex)
+    _contract(np.moveaxis(field.coeffs, -1, 0), np.moveaxis(grid.mandel_nn, -1, 0), contraction)
     if (np.abs(contraction) * np.sqrt(grid.inv_norm4_all)).max() > tol * scale:
         raise ValueError("input is not solenoidal: n . g_hat(n) . n != 0")
     if np.abs(field.coeffs[0, 0]).max() > tol * scale:

@@ -20,7 +20,7 @@ An iteration costs two real FFTs and Gamma's one contraction s = n . p_hat . n o
 p = dC:E.  As n . J_hat_{k+1} . n = s_{k+1} - s_k on the active modes, the residual
 comes from Gamma's scalars; so do delta, the RMS of E_k - E_{k-1} = Gamma (p_{k-1} - p_{k-2}),
 and the power iteration's ratio |B x|, as Gamma's output on a mode has size |s| / (lam0 |n|^2)
-(GreenOperator.rms).  The loop holds one (M, N, N) iterate and an (M, M, N, N) dC.
+(GreenOperator.rms).  The loop holds one (M, N, N) iterate, an (M, M, N, N) dC and the step's buffers.
 With >= 2 usable CPUs and N >= green._SPLIT_MIN_N, dC:E, the FFTs and Gamma run on two threads, with
 results bit-identical to one core (`taskset -c 0`); there is no setting.
 The reports' series_factor (apriori_bound) is the paper's trace-reference estimate.
@@ -167,19 +167,21 @@ class _NeumannStep:
     """B = Gamma * (dC : .), the operator of the fixed point, for one field and lam0.
 
     Built once per solve: dC = C - C0, contiguous (M, M, N, N), is the only coefficient
-    grid, and the Green operator holds its scale with the inactive modes zeroed.
+    grid, and the Green operator holds its scale with the inactive modes zeroed; every call rewrites p and spec.
     """
 
     def __init__(self, field: CoefficientField, lambda0: float):
         self.dc = np.subtract(field.mandel_grid().transpose(2, 3, 0, 1), lambda0 * np.eye(M)[..., None, None], order="C")
         self.green = GreenOperator(FrequencyGrid(2, field.n), lambda0)
+        self.p, self.spec = np.empty((M, field.n, field.n)), np.empty((M, field.n, field.n // 2 + 1), dtype=complex)
 
-    def __call__(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """dC:E, its spectrum's mean mode (copied: a view keeps the spectrum alive), Gamma's output and s."""
-        p = np.empty(e.shape)
-        self.green.halves(lambda lo, hi: np.einsum("abxy,bxy->axy", self.dc[:, :, lo:hi], e[:, lo:hi], out=p[:, lo:hi]), self.green.n)
-        p_hat = self.green.forward(p)
-        return p, p_hat[:, 0, 0].copy(), *self.green.apply(p_hat)
+    def __call__(self, e: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """p = dC:E, Gamma's output in spec and its scalars in s; returns a copy of p_hat(0), which Gamma zeroes."""
+        self.green.halves(lambda lo, hi: np.einsum("abxy,bxy->axy", self.dc[:, :, lo:hi], e[:, lo:hi], out=self.p[:, lo:hi]), self.green.n)
+        self.green.forward(self.p, self.spec)
+        p_hat0 = self.spec[:, 0, 0].copy()
+        self.green.apply(self.spec, s)
+        return p_hat0
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -209,30 +211,28 @@ def solve_cell(
 
     lam = ref.lambda0
     step = _NeumannStep(field, lam)
-    e = np.broadcast_to(e0[:, None, None], (M, n, n))
+    e = np.broadcast_to(e0[:, None, None], (M, n, n)).copy()  # the one iterate, rewritten in place
+    s, s_new = np.empty((2, n, n // 2 + 1), dtype=complex)
     # divergent references overflow before their residual turns non-finite and ends the loop
     with np.errstate(over="ignore", invalid="ignore"):
-        p, _, e_hat, s = step(e)
+        step(e, s)
         delta = step.green.rms(s)  # |E_1 - E_0|: E_1 - E_0 = Gamma (dC:E_0), whose scalars are s_0
         for k in range(1, config.max_iterations + 1):
-            e_hat[:, 0, 0] = n * n * e0  # Gamma zeroes the mean mode; E0 fills it
-            del e, p  # dead, as is e_hat once inverted: free them before step() allocates the next
-            e = step.green.inverse(e_hat)
-            del e_hat
-            p, p_hat0, e_hat, s_new = step(e)
-            j0 = p_hat0 + n * n * lam * e0
+            step.spec[:, 0, 0] = n * n * e0  # Gamma zeroes the mean mode; E0 fills it
+            step.green.inverse(step.spec, e)
+            j0 = step(e, s_new) + n * n * lam * e0
             s -= s_new  # s_{k-1} - s_k = -n.J_hat_k.n, and the scalars of E_k - E_{k+1}
             residual = step.green.equilibrium_residual(s, j0)
-            energy = (_inner(e, p) + lam * _inner(e, e)) / (n * n)
+            energy = (_inner(e, step.p) + lam * _inner(e, e)) / (n * n)
             history.append(k, residual, delta, energy)
             if k == 1 and not (math.isfinite(residual) and math.isfinite(energy)):
                 raise ValueError(f"the first iteration overflows: e0 {e0.tolist()} or lambda0 {lam:g} is too large")
             if residual <= config.tolerance or not math.isfinite(residual):
                 break
             delta = step.green.rms(s)  # the next row's |E_{k+1} - E_k|
-            s = s_new
+            s, s_new = s_new, s
         converged = residual <= config.tolerance
-        moment = np.moveaxis(p + lam * e, 0, -1)
+        moment = np.moveaxis(step.p + lam * e, 0, -1)
         mean = SymTensor2(j0.real / (n * n))
         return CellSolution(np.moveaxis(e, 0, -1), moment, k, residual, converged, history, energy, mean)
 
@@ -254,16 +254,17 @@ def estimate_spectral_radius(
     x = np.moveaxis(rng.standard_normal((n, n, M)), -1, 0)  # the draw of the (N, N, M) layout
     x -= x.mean(axis=(1, 2), keepdims=True)
     x /= math.sqrt(_inner(x, x) / (n * n))
+    s = np.empty((n, n // 2 + 1), dtype=complex)
     ratios = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(iterations):
-            _, _, y_hat, s = step(x)
+            step(x, s)
             r = step.green.rms(s)  # |B x|, from Gamma's scalars
             if not math.isfinite(r):
                 raise ValueError(f"the power iteration overflows: lambda0 {ref.lambda0:g} is too large")
             if r < 1e-13:
                 return 0.0
             ratios.append(r)
-            x = step.green.inverse(y_hat)
+            step.green.inverse(step.spec, x)
             x /= -r  # B x / |B x|
     return float(np.exp(np.log(ratios[-5:]).sum() / len(ratios[-5:])))

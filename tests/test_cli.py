@@ -36,6 +36,16 @@ def run_rejected(capsys, *argv):
     return err
 
 
+def process_rejected(*argv):
+    """Run `python -m platefft.cli` on an input it must reject: exit 1, one `error:` line, no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "platefft.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+    return proc.stderr
+
+
 CHESSBOARD = (
     "--set", "micro.generator=chessboard", "--set", "micro.alpha=1",
     "--set", "micro.beta=3", "--set", "micro.n=4",
@@ -557,15 +567,16 @@ class TestErrorBoundary:
     def test_process_exits_1_with_one_error_line(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        proc = subprocess.run(
-            [sys.executable, "-m", "platefft.cli", "solve", "--out", str(blocker / "x"),
-             *CHESSBOARD, "--set", "e0=1,0,0"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
-        )
-        assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "Traceback" not in proc.stderr
+        process_rejected("solve", "--out", str(blocker / "x"), *CHESSBOARD, "--set", "e0=1,0,0")
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--set", "micro.generator=inclusion", "--set", "micro.n=10000000", "--set", "e0=1,0,0"),
+        ("green", "--y", "0.25,0.5", "--cutoff", "5000000"),
+    ], ids=["solve-grid", "green-lattice"])
+    def test_unallocatable_grid_exits_1(self, tmp_path, argv):
+        # 10^7 x 10^7 entries (728 TiB) is beyond a 47-bit address space: the allocation fails at once and touches no memory
+        err = process_rejected(*argv, "--out", str(tmp_path / "run"))
+        assert "allocate" in err
 
 
 class TestBenchmarkReach:

@@ -462,6 +462,27 @@ def full_spectrum_residual(j_hat, grid):
     return num / float(np.linalg.norm(j_hat[0, 0]))
 
 
+def forward(op, values):
+    """op.forward into a fresh NaN-filled buffer, so a mode the pass skips shows."""
+    out = np.full((3, op.n, op.n // 2 + 1), np.nan, dtype=complex)
+    op.forward(values, out)
+    return out
+
+
+def apply(op, coeffs):
+    """Gamma's output and s from op.apply on a copy of coeffs, s starting as NaN."""
+    gamma_hat, s = coeffs.copy(), np.full(coeffs.shape[1:], np.nan, dtype=complex)
+    op.apply(gamma_hat, s)
+    return gamma_hat, s
+
+
+def inverse(op, coeffs):
+    """op.inverse of a copy of coeffs (the pass overwrites its input) into a fresh NaN-filled buffer."""
+    out = np.full((3, op.n, op.n), np.nan)
+    op.inverse(coeffs.copy(), out)
+    return out
+
+
 class TestGreenOperator:
     @pytest.mark.parametrize("n", [8, 9])
     def test_half_spectrum_residual_matches_full_spectrum(self, n):
@@ -471,8 +492,8 @@ class TestGreenOperator:
         for _ in range(5):
             j = rng.standard_normal((n, n, 3)) + rng.standard_normal(3)
             want = full_spectrum_residual(np.fft.fftn(j, axes=(0, 1)), grid)
-            j_hat = op.forward(np.moveaxis(j, -1, 0))
-            _, s = op.apply(j_hat)  # s = n.J_hat.n
+            j_hat = forward(op, np.moveaxis(j, -1, 0))
+            _, s = apply(op, j_hat)  # s = n.J_hat.n
             assert op.equilibrium_residual(s, j_hat[:, 0, 0]) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n", [8, 9])
@@ -481,7 +502,7 @@ class TestGreenOperator:
         p = rng.standard_normal((n, n, 3))
         op = GreenOperator(FrequencyGrid(2, n), 1.5)
         want = gamma_apply(SpectralField.from_real(p), 1.5).to_real()
-        got = op.inverse(op.apply(op.forward(np.moveaxis(p, -1, 0)))[0])
+        got = inverse(op, apply(op, forward(op, np.moveaxis(p, -1, 0)))[0])
         np.testing.assert_allclose(np.moveaxis(got, 0, -1), want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [8, 9])
@@ -497,17 +518,17 @@ class TestGreenOperator:
         active = op.weights > 0
 
         def spectrum(mat, values):
-            return op.forward(np.einsum("xyab,bxy->axy", mat, values))
+            return forward(op, np.einsum("xyab,bxy->axy", mat, values))
 
         e0 = rng.standard_normal(3)
-        e_hat, s = op.apply(spectrum(dc, np.moveaxis(np.broadcast_to(e0, (n, n, 3)), -1, 0)))
+        e_hat, s = apply(op, spectrum(dc, np.moveaxis(np.broadcast_to(e0, (n, n, 3)), -1, 0)))
         for _ in range(3):
             e_hat[:, 0, 0] = n * n * e0
-            e = op.inverse(e_hat)
+            e = inverse(op, e_hat)
             p_hat = spectrum(dc, e)
-            e_hat, s_new = op.apply(p_hat)
+            e_hat, s_new = apply(op, p_hat)
             j_hat = spectrum(c, e)
-            _, want = op.apply(j_hat)
+            _, want = apply(op, j_hat)
             atol = 1e-13 * np.abs(s_new).max()
             np.testing.assert_allclose((s_new - s)[active], want[active], rtol=0, atol=atol)
             np.testing.assert_allclose(p_hat[:, 0, 0] + n * n * lam * e0, j_hat[:, 0, 0], rtol=1e-13)
@@ -515,7 +536,8 @@ class TestGreenOperator:
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_split_passes_equal_unsplit_bit_for_bit(self, n, monkeypatch):
-        # the split is forced, so a one-CPU host runs it too; odd N halves the rows and columns unevenly
+        # the split is forced, so a one-CPU host runs it too; odd N halves the rows and columns unevenly.
+        # Every pass writes into a buffer that starts as NaN, so a row or column a half misses stays NaN.
         x = np.random.default_rng(1000 + n).standard_normal((3, n, n))
         matrix, disc = StiffTensor4(np.diag([1.0, 2.0, 1.5])), StiffTensor4(np.diag([10.0, 12.0, 8.0]))
         inclusion = generate_inclusion(matrix, disc, 0.3, n)
@@ -525,12 +547,16 @@ class TestGreenOperator:
             monkeypatch.setattr(green, "_SPLIT_MIN_N", n if split else n + 1)
             step = _NeumannStep(inclusion, 5.0)
             assert step.green.split is split
-            p, p_hat0, gamma_hat, s = step(x)
+            step.p.fill(np.nan)
+            step.spec.fill(np.nan)
+            s = np.full((n, n // 2 + 1), np.nan, dtype=complex)
+            p_hat0 = step(x, s)
             op = step.green
-            x_hat = op.forward(x)
-            inverses = [op.inverse(gamma_hat.copy()), op.inverse(x_hat.copy())]
-            results.append([p, p_hat0, gamma_hat, s, x_hat, *op.apply(x_hat), *inverses])
+            x_hat = forward(op, x)
+            inverses = [inverse(op, step.spec), inverse(op, x_hat)]
+            results.append([step.p, p_hat0, step.spec, s, x_hat, *apply(op, x_hat), *inverses])
         for unsplit, split in zip(*results):
+            assert not np.isnan(split).any() and not np.isnan(unsplit).any()
             assert split.dtype == unsplit.dtype and split.tobytes() == unsplit.tobytes()
 
     @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
@@ -542,7 +568,7 @@ class TestGreenOperator:
         op = GreenOperator(FrequencyGrid(2, n), lam)
 
         def project(values):
-            return -lam * op.inverse(op.apply(op.forward(values))[0])
+            return -lam * inverse(op, apply(op, forward(op, values))[0])
 
         x, y = np.moveaxis(np.random.default_rng(seed).standard_normal((2, n, n, 3)), -1, 1)
         px, py = project(x), project(y)

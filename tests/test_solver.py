@@ -281,6 +281,14 @@ class TestSolveCell:
         c = scalar_field_values(f)[..., None]
         np.testing.assert_allclose(s.moment, c * s.curvature, rtol=1e-13, atol=1e-13)
 
+    def test_consecutive_solutions_do_not_alias(self):
+        # a solve's fields are its own: a workspace kept across solves would overwrite the first's
+        f = generate_inclusion(1.0 * ID, 3.0 * ID, 0.3, 15)
+        first = solve(f, [1.0, 0.0, 0.0])
+        curvature, moment = first.curvature.tobytes(), first.moment.tobytes()
+        solve(f, [0.0, 1.0, 0.5])
+        assert first.curvature.tobytes() == curvature and first.moment.tobytes() == moment
+
     def test_divergent_manual_reference_flagged(self):
         f = generate_chessboard(1.0 * ID, 3.0 * ID, 8)
         s = solve(f, [1.0, 0.0, 0.0], strategy="manual", lambda0=0.05, max_iter=200)
