@@ -178,14 +178,23 @@ def _project(coeffs: np.ndarray, grid: FrequencyGrid, inv_norm4: np.ndarray, c: 
     return out
 
 
+def _gamma_scale(lambda0: float) -> float:
+    """-1/lam0, the scale of Gamma; the one check of the range of lam0: positive, finite, and with a finite reciprocal."""
+    lam = float(lambda0)  # a numpy scalar would warn where the division overflows
+    if not 0 < lam < math.inf:
+        raise ValueError(f"reference coefficient must be positive and finite, got {lam}")
+    scale = -1.0 / lam
+    if math.isinf(scale):
+        raise ValueError(f"reference coefficient {lam} is too small: its reciprocal overflows")
+    return scale
+
+
 def apply_gamma_coeffs(p_hat: np.ndarray, grid: FrequencyGrid, lambda0: float) -> np.ndarray:
     """Multiply coefficient array (N, N, M) by the Green-operator symbol.
 
     Modes off the resolved set (zero frequency; Nyquist rows on even grids) map to zero.
     """
-    if lambda0 <= 0:
-        raise ValueError(f"reference coefficient must be positive, got {lambda0}")
-    return _project(p_hat, grid, grid.inv_norm4, -1.0 / lambda0)
+    return _project(p_hat, grid, grid.inv_norm4, _gamma_scale(lambda0))
 
 
 def gamma_apply(field: SpectralField, lambda0: float) -> SpectralField:
@@ -216,13 +225,12 @@ class GreenOperator:
     """
 
     def __init__(self, grid: FrequencyGrid, lambda0: float):
-        if lambda0 <= 0:
-            raise ValueError(f"reference coefficient must be positive, got {lambda0}")
+        scale = _gamma_scale(lambda0)
         self.n = grid.n
         self.split = grid.n >= _SPLIT_MIN_N and _CPUS >= 2
         half = np.s_[:, : grid.n // 2 + 1]
         self.nn = np.ascontiguousarray(np.moveaxis(grid.mandel_nn[half], -1, 0))
-        self.nn_scale = self.nn * (grid.inv_norm4[half] * (-1.0 / lambda0))
+        self.nn_scale = self.nn * (grid.inv_norm4[half] * scale)
         # Parseval multiplicity of the active modes: 1 in the columns that hold
         # their own conjugates (column 0; column N/2 of even grids), 2 elsewhere
         col = np.arange(grid.n // 2 + 1)

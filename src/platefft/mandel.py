@@ -56,13 +56,8 @@ def stiff_to_mandel(dense: np.ndarray) -> np.ndarray:
     dense = np.asarray(dense, dtype=float)
     if dense.shape != (2, 2, 2, 2):
         raise ValueError(f"expected shape (2,2,2,2), got {dense.shape}")
-    out = np.empty((M, M))
-    for a, (i, j) in enumerate(_PAIRS):
-        fa = 1.0 if i == j else SQRT2
-        for b, (k, l) in enumerate(_PAIRS):
-            fb = 1.0 if k == l else SQRT2
-            out[a, b] = fa * fb * dense[i, j, k, l]
-    return out
+    columns = sym_to_mandel(dense)  # the pair (k, l) encoded: [i, j, b]
+    return sym_to_mandel(np.moveaxis(columns, -1, 0)).T  # then the pair (i, j): [b, a], transposed
 
 
 def mandel_to_stiff(matrix: np.ndarray) -> np.ndarray:
@@ -70,16 +65,8 @@ def mandel_to_stiff(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (M, M):
         raise ValueError(f"expected a {M}x{M} Mandel matrix, got shape {matrix.shape}")
-    out = np.zeros((2, 2, 2, 2))
-    for a, (i, j) in enumerate(_PAIRS):
-        fa = 1.0 if i == j else SQRT2
-        for b, (k, l) in enumerate(_PAIRS):
-            fb = 1.0 if k == l else SQRT2
-            val = matrix[a, b] / (fa * fb)
-            for ii, jj in {(i, j), (j, i)}:
-                for kk, ll in {(k, l), (l, k)}:
-                    out[ii, jj, kk, ll] = val
-    return out
+    rows = mandel_to_sym(matrix.T)  # the index a decoded: [b, i, j]
+    return mandel_to_sym(np.moveaxis(rows, 0, -1))  # then the index b: [i, j, k, l]
 
 
 def identity_vector() -> np.ndarray:
@@ -127,9 +114,10 @@ class StiffTensor4:
         if not np.isfinite(mat).all():
             raise ValueError("Mandel matrix has non-finite entries")
         scale = max(1.0, float(abs(mat).max()))
-        if abs(mat - mat.T).max() > 1e-10 * scale:
+        half = 0.5 * mat  # mat - mat.T and mat + mat.T would overflow above about 9e307
+        if abs(half - half.T).max() > 0.5e-10 * scale:
             raise ValueError("Mandel matrix is not symmetric (major symmetry violated)")
-        mat = 0.5 * (mat + mat.T)
+        mat = np.where(mat == mat.T, mat, half + half.T)  # halving rounds a subnormal's last bit away
         mat.flags.writeable = False
         object.__setattr__(self, "mandel_matrix", mat)
 

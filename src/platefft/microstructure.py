@@ -204,9 +204,7 @@ def load_microstructure(path) -> CoefficientField:
         raise MicrostructureFormatError(
             f"phase map has {flat.size} entries, expected N^2 = {n * n}"
         )
-    unknown = set(np.unique(flat).tolist()) - set(phases)
-    if unknown:
-        raise MicrostructureFormatError(
-            f"phase map references unknown phase ids {sorted(unknown)}"
-        )
-    return CoefficientField(flat.reshape(n, n), PhaseTable(phases))
+    try:
+        return CoefficientField(flat.reshape(n, n), PhaseTable(phases))
+    except ValueError as exc:
+        raise MicrostructureFormatError(str(exc)) from None

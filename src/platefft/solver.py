@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .green import FrequencyGrid, GreenOperator
+from .green import FrequencyGrid, GreenOperator, _gamma_scale
 from .mandel import M, SymTensor2, trace_dyad
 from .microstructure import CoefficientField
 
@@ -51,8 +51,7 @@ class ReferenceMedium:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not 0 < self.lambda0 < math.inf:
-            raise ValueError(f"reference coefficient must be positive and finite, got {self.lambda0}")
+        _gamma_scale(self.lambda0)
         if self.strategy == "arithmetic" and not self.lambda0 > self.mu_max / 2.0 > 0:
             raise ValueError("arithmetic reference must satisfy lambda0 > mu_max/2 > 0")
 
@@ -232,7 +231,9 @@ def solve_cell(
             delta = step.green.rms(s)  # the next row's |E_{k+1} - E_k|
             s, s_new = s_new, s
         converged = residual <= config.tolerance
-        moment = np.moveaxis(step.p + lam * e, 0, -1)
+        for a in range(M):  # the moment C:E = dC:E + lam0 E in p's buffer, one component's temporary at a time
+            step.p[a] += lam * e[a]
+        moment = np.moveaxis(step.p, 0, -1)
         mean = SymTensor2(j0.real / (n * n))
         return CellSolution(np.moveaxis(e, 0, -1), moment, k, residual, converged, history, energy, mean)
 

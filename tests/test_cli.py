@@ -521,6 +521,16 @@ class TestErrorBoundary:
         assert "reference coefficient must be positive and finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "spectrum"])
+    def test_subnormal_reference_exits_1_as_too_small(self, tmp_path, capsys, command):
+        # the arithmetic rule gives lambda0 = 1e-320, whose reciprocal overflows
+        out = tmp_path / "run"
+        err = run_rejected(capsys, command, "--out", str(out), *CHESSBOARD, "--set", "e0=1,0,0",
+                           "--set", "micro.alpha=1e-320", "--set", "micro.beta=1e-320")
+        assert len(err.splitlines()) == 1
+        assert "too small" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, load", OVERFLOWING.values(), ids=OVERFLOWING.keys())
     def test_overflowing_first_step_exits_1(self, tmp_path, capsys, command, load):
         out = tmp_path / "run"

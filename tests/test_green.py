@@ -171,9 +171,12 @@ class TestGammaSymbol:
         np.testing.assert_array_equal(gamma_on_mode([0, 0], 1.0, [1.0, -2.0, 3.0]), np.zeros(3))
 
     def test_nonpositive_reference_rejected(self):
-        for lam in (0.0, -1.0):
-            with pytest.raises(ValueError, match="positive"):
+        # and a lam0 that is infinite, or whose reciprocal overflows
+        for lam, message in ((0.0, "positive"), (-1.0, "positive"), (math.inf, "positive"), (1e-320, "too small")):
+            with pytest.raises(ValueError, match=message):
                 gamma_apply(SpectralField(np.zeros((4, 4, 3), dtype=complex)), lam)
+            with pytest.raises(ValueError, match=message):
+                GreenOperator(FrequencyGrid(2, 4), lam)
 
 
 class TestGammaApply:

@@ -239,8 +239,16 @@ class TestConstructors:
 
     def test_asymmetric_matrix_rejected(self):
         bad = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError, match="symmetr"):
-            StiffTensor4(bad)
+        huge = np.diag([1e308] * 3)
+        huge[0, 1], huge[1, 0] = 1e308, -1e308  # mat - mat.T would overflow
+        for mat in (bad, huge):
+            with pytest.raises(ValueError, match="not symmetric"):
+                StiffTensor4(mat)
+
+    @pytest.mark.parametrize("entry", [1e308, 5e-324])
+    def test_extreme_entries_kept(self, entry):
+        # 0.5 * (mat + mat.T) overflows above about 9e307, and 0.5 * mat rounds 5e-324 to 0
+        np.testing.assert_array_equal(StiffTensor4(np.diag([entry] * 3)).mandel_matrix, np.diag([entry] * 3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_matrix_rejected_without_warning(self, bad):
