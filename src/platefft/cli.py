@@ -358,9 +358,9 @@ def cmd_decompose(field_path: str, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     write_field(os.path.join(out, "part_pot.field"), pot.to_real())
     write_field(os.path.join(out, "part_sol.field"), sol.to_real())
-    mean_grid = np.broadcast_to(mean.mandel, (n, n, M))
-    write_field(os.path.join(out, "part_mean.field"), np.array(mean_grid))
-    mean_field = SpectralField.from_real(np.array(mean_grid))
+    mean_grid = np.array(np.broadcast_to(mean.mandel, (n, n, M)))
+    write_field(os.path.join(out, "part_mean.field"), mean_grid)
+    mean_field = SpectralField.from_real(mean_grid)
     inner = {
         "pot_sol": l2_inner(pot, sol),
         "pot_mean": l2_inner(pot, mean_field),

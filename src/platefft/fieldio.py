@@ -81,28 +81,27 @@ def _write_split(fh, rows: np.ndarray) -> None:
         raise OSError(f"cannot write {fh.name}: the field writer process exited with status {writer.returncode}")
 
 
+def _read_sizes(tokens: list[str], key: str, error: type[ValueError]) -> tuple[int, int]:
+    """(N, value) from `d 2 N <N> <key> <value>`, the size tokens that end both text headers; else raises error."""
+    if len(tokens) != 6 or tokens[0] != "d" or tokens[2] != "N" or tokens[4] != key:
+        raise error(f"malformed size header (expected 'd _ N _ {key} _')")
+    try:
+        d, n, value = int(tokens[1]), int(tokens[3]), int(tokens[5])
+    except ValueError as exc:
+        raise error(f"non-integer size header entry: {exc}") from None
+    if d != 2:
+        raise error(f"unsupported dimension d={d}; platefft is two-dimensional")
+    return n, value
+
+
 def read_field(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
         # An empty body is reported below as a row count of 0.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         header = next(filter(None, map(str.split, fh)), [])
-        if (
-            len(header) != 8
-            or header[0] != FIELD_MAGIC
-            or header[1] != FIELD_VERSION
-            or header[2] != "d"
-            or header[4] != "N"
-            or header[6] != "m"
-        ):
-            raise FieldFormatError(
-                f"malformed header (expected '{FIELD_MAGIC} {FIELD_VERSION} d _ N _ m _')"
-            )
-        try:
-            d, n, m = int(header[3]), int(header[5]), int(header[7])
-        except ValueError as exc:
-            raise FieldFormatError(f"non-integer header entry: {exc}") from None
-        if d != 2:
-            raise FieldFormatError(f"unsupported dimension d={d}; platefft is two-dimensional")
+        if header[:2] != [FIELD_MAGIC, FIELD_VERSION]:
+            raise FieldFormatError(f"malformed header (expected '{FIELD_MAGIC} {FIELD_VERSION} d _ N _ m _')")
+        n, m = _read_sizes(header[2:], "m", FieldFormatError)
         if m != M:
             raise FieldFormatError(f"component count {m} does not match dimension 2 (expected {M})")
         if n < 2:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mandel import M, SymTensor2, mandel_to_sym, sym_to_mandel
+from .mandel import SQRT2, M, SymTensor2, mandel_to_sym, sym_to_mandel
 
 
 def green_fourier_coefficient(n):
@@ -102,7 +102,7 @@ class FrequencyGrid:
         f = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
         n1 = np.broadcast_to(f[:, None], (self.n, self.n)).astype(float)
         n2 = np.broadcast_to(f[None, :], (self.n, self.n)).astype(float)
-        nn = sym_to_mandel(_dyad(n1, n2))
+        nn = np.stack([n1 * n1, n2 * n2, SQRT2 * (n1 * n2)], axis=-1)  # mandel(n (x) n)
         norm4 = (n1**2 + n2**2) ** 2
         inv_norm4_all = np.divide(1.0, norm4, out=np.zeros_like(norm4), where=norm4 > 0)
         inv_norm4 = np.where((n1 == -self.n / 2) | (n2 == -self.n / 2), 0.0, inv_norm4_all)  # Nyquist rows, even N only

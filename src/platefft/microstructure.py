@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .fieldio import FLOAT_FMT
+from .fieldio import FLOAT_FMT, _read_sizes
 from .mandel import M, StiffTensor4
 
 _FRACTION_TOL = 1e-6
@@ -73,10 +73,10 @@ class CoefficientField:
         return {int(i): float(c) / total for i, c in zip(ids, counts)}
 
     def mandel_grid(self) -> np.ndarray:
-        """Per-voxel Mandel matrices, shape (N, N, M, M)."""
+        """Per-voxel Mandel matrices, shape (N, N, M, M): the transposed view of one contiguous (M, M, N, N) grid."""
         ids = np.array(sorted(self.table.phases))
-        mats = np.stack([self.table.phases[pid].mandel_matrix for pid in ids])
-        return mats[np.searchsorted(ids, self.phase_map)]
+        mats = np.stack([self.table.phases[pid].mandel_matrix for pid in ids], axis=-1)
+        return np.take(mats, np.searchsorted(ids, self.phase_map), axis=-1).transpose(2, 3, 0, 1)
 
     def eigen_range(self) -> tuple[float, float]:
         """(mu_min, mu_max) over all voxels and all Mandel eigenvalues."""
@@ -170,15 +170,7 @@ def load_microstructure(path) -> CoefficientField:
         lines = filter(None, map(str.split, fh))
         if next(lines, None) != MICRO_MAGIC.split():
             raise MicrostructureFormatError(f"missing '{MICRO_MAGIC}' header line")
-        header = next(lines, [])
-        if len(header) != 6 or header[0] != "d" or header[2] != "N" or header[4] != "phases":
-            raise MicrostructureFormatError("malformed size header (expected 'd _ N _ phases _')")
-        try:
-            d, n, n_phases = int(header[1]), int(header[3]), int(header[5])
-        except ValueError as exc:
-            raise MicrostructureFormatError(f"non-integer size header: {exc}") from None
-        if d != 2:
-            raise MicrostructureFormatError(f"unsupported dimension d={d}; platefft is two-dimensional")
+        n, n_phases = _read_sizes(next(lines, []), "phases", MicrostructureFormatError)
         if n_phases < 1:
             raise MicrostructureFormatError(f"need at least one phase, got phases {n_phases}")
         upper = np.triu_indices(M)

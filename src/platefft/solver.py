@@ -28,6 +28,7 @@ The reports' series_factor (apriori_bound) is the paper's trace-reference estima
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,10 @@ class ReferenceMedium:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         _gamma_scale(self.lambda0)
         if self.strategy == "arithmetic" and not self.lambda0 > self.mu_max / 2.0 > 0:
-            raise ValueError("arithmetic reference must satisfy lambda0 > mu_max/2 > 0")
+            raise ValueError(
+                "arithmetic reference must satisfy lambda0 > mu_max/2 > 0, "
+                f"got lambda0 {self.lambda0:g} for the eigen-range [{self.mu_min:g}, {self.mu_max:g}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -113,20 +117,19 @@ def select_reference(
     """Choose the scalar reference coefficient from the coefficient eigen-range.
 
     arithmetic: lam0 = (mu_min + mu_max) / 2 (midpoint rule);
-    geometric:  lam0 = sqrt(mu_min * mu_max), intended for high contrast;
-    manual:     pass-through of `lambda0`, which must be positive and finite.
+    geometric:  lam0 = sqrt(mu_min * mu_max), or sqrt(mu_min) sqrt(mu_max) if the product is not a normal float;
+    manual:     pass-through of `lambda0`, which must be positive and finite; ReferenceMedium rejects other names.
     """
     mu_min, mu_max = field.eigen_range()
-    if strategy == "arithmetic":
-        lam = 0.5 * (mu_min + mu_max)
-    elif strategy == "geometric":
-        lam = math.sqrt(mu_min * mu_max)
-    elif strategy == "manual":
+    if strategy == "manual":
         if lambda0 is None:
             raise ValueError("manual strategy requires an explicit lambda0")
         lam = float(lambda0)
+    elif strategy == "geometric":
+        product = mu_min * mu_max
+        lam = math.sqrt(product) if sys.float_info.min <= product < math.inf else math.sqrt(mu_min) * math.sqrt(mu_max)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        lam = 0.5 * (mu_min + mu_max)
     return ReferenceMedium(lam, strategy, mu_min, mu_max)
 
 
@@ -165,12 +168,13 @@ def apriori_bound(field: CoefficientField, ref: ReferenceMedium) -> float:
 class _NeumannStep:
     """B = Gamma * (dC : .), the operator of the fixed point, for one field and lam0.
 
-    Built once per solve: dC = C - C0, contiguous (M, M, N, N), is the only coefficient
-    grid, and the Green operator holds its scale with the inactive modes zeroed; every call rewrites p and spec.
+    Built once per solve: dC = C - C0, mandel_grid's contiguous (M, M, N, N) grid less lam0 on its diagonal, is the only
+    coefficient grid, and the Green operator holds its scale with the inactive modes zeroed; every call rewrites p and spec.
     """
 
     def __init__(self, field: CoefficientField, lambda0: float):
-        self.dc = np.subtract(field.mandel_grid().transpose(2, 3, 0, 1), lambda0 * np.eye(M)[..., None, None], order="C")
+        self.dc = field.mandel_grid().transpose(2, 3, 0, 1)
+        self.dc[np.diag_indices(M)] -= lambda0
         self.green = GreenOperator(FrequencyGrid(2, field.n), lambda0)
         self.p, self.spec = np.empty((M, field.n, field.n)), np.empty((M, field.n, field.n // 2 + 1), dtype=complex)
 

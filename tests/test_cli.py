@@ -1,12 +1,17 @@
+import contextlib
 import importlib.util
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import platefft
 from platefft import fieldio, green
@@ -161,6 +166,21 @@ class TestSolveCommand:
         out = tmp_path / "run"
         run_rejected(capsys, "solve", "--out", str(out), "--set", f"micro.file={micro}", "--set", "e0=1,0,0")
         assert not out.exists()
+
+    @pytest.mark.parametrize("stiffness", ["1e-200", "1e200"])
+    def test_geometric_reference_at_the_ends_of_the_float_range(self, tmp_path, stiffness):
+        # mu_min * mu_max underflows to 0 or overflows to inf here; the geometric rule still finds lambda0
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                "solve", "--out", str(out), "--set", "micro.generator=chessboard", "--set", "micro.n=8",
+                "--set", f"micro.alpha={stiffness}", "--set", f"micro.beta={stiffness}",
+                "--set", "reference.strategy=geometric", "--set", "e0=1,0,0",
+            )
+        assert code == 0
+        strategy, _, lambda0 = report_dict(out / "report.txt")["reference"].split()
+        assert strategy == "geometric" and float(lambda0) == pytest.approx(float(stiffness), rel=1e-15)
 
     def test_divergent_manual_reference_exits_2_with_flag(self, tmp_path):
         out = tmp_path / "run"
@@ -531,6 +551,24 @@ class TestErrorBoundary:
         assert "too small" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "homogenize"])
+    def test_arithmetic_reference_past_double_precision_names_the_eigen_range(self, tmp_path, capsys, command):
+        # (1 + 1e308) / 2 rounds to mu_max / 2, which the midpoint rule must exceed
+        out = tmp_path / "run"
+        err = run_rejected(capsys, command, "--out", str(out), "--set", "micro.generator=chessboard",
+                           "--set", "micro.n=8", "--set", "micro.alpha=1e308", "--set", "e0=1,0,0")
+        assert len(err.splitlines()) == 1
+        assert "mu_max/2" in err and "eigen-range [1, 1e+308]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "homogenize", "spectrum"])
+    def test_unknown_strategy_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        err = run_rejected(capsys, command, "--out", str(out), *CHESSBOARD, "--set", "e0=1,0,0",
+                           "--set", "reference.strategy=bogus")
+        assert err == "error: unknown strategy 'bogus'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, load", OVERFLOWING.values(), ids=OVERFLOWING.keys())
     def test_overflowing_first_step_exits_1(self, tmp_path, capsys, command, load):
         out = tmp_path / "run"
@@ -587,6 +625,62 @@ class TestErrorBoundary:
         # 10^7 x 10^7 entries (728 TiB) is beyond a 47-bit address space: the allocation fails at once and touches no memory
         err = process_rejected(*argv, "--out", str(tmp_path / "run"))
         assert "allocate" in err
+
+
+EDGE_TOKENS = ["0", "-1", "1e300", "-1e300", "1e308", "inf", "-inf", "nan", "5e-324", "", "x",
+               "12345678901234567890", "-0", "1.5", "1e400"]
+VALID_FIELD = "plate-field v1 d 2 N 2 m 3\n1 0 0\n0 2 0\n0 0 3\n1 1 1\n"
+VALID_MICRO = "plate-micro v1\nd 2 N 2 phases 2\nphase 0 1 0 0 1 0 1\nphase 1 3 0 0 3 0 3\n0 1 1 0\n"
+
+
+@st.composite
+def mutated(draw, text: str) -> bytes:
+    """text with one token replaced by an edge value, one line dropped or duplicated, a non-UTF-8 byte inserted,
+    or the bytes cut short."""
+    lines = text.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["token", "drop", "duplicate", "byte", "truncate"]))
+    if kind == "token":
+        i, j = draw(st.sampled_from([(i, j) for i, line in enumerate(lines) for j in range(len(line.split()))]))
+        words = lines[i].split()
+        words[j] = draw(st.sampled_from(EDGE_TOKENS))
+        lines[i] = " ".join(words) + "\n"
+    elif kind in ("drop", "duplicate"):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i : i + 1] = [] if kind == "drop" else [lines[i]] * 2
+    data = "".join(lines).encode()
+    if kind in ("byte", "truncate"):
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + b"\xff" + data[k:] if kind == "byte" else data[:k]
+    return data
+
+
+class TestMutatedInputFiles:
+    """A mutated field or microstructure file ends in exit 0, 1 or 2; exit 1 prints one `error:` line, and no
+    exception or warning leaves main."""
+
+    def check_contract(self, data: bytes, name: str, argv) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as fh:
+                fh.write(data)
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main([*argv(path), "--out", os.path.join(tmp, "run")])
+        assert code in (0, 1, 2)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(mutated(VALID_FIELD))
+    def test_mutated_field_through_decompose(self, data):
+        self.check_contract(data, "in.field", lambda path: ["decompose", path])
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(mutated(VALID_MICRO))
+    def test_mutated_microstructure_through_solve(self, data):
+        self.check_contract(data, "in.micro", lambda path: ["solve", "--set", f"micro.file={path}", "--set", "e0=1,0,0"])
 
 
 class TestBenchmarkReach:

@@ -67,6 +67,10 @@ class TestSelectReference:
         with pytest.raises(ValueError, match="mu_max/2"):
             ReferenceMedium(1.0, "arithmetic", 1.0, 9.0)
 
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            select_reference(generate_chessboard(1.0 * ID, 3.0 * ID, 4), "bogus")
+
 
 class TestSpectralBound:
     def test_contrast_three(self):

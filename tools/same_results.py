@@ -88,7 +88,9 @@ def export(rev: str, dest: Path) -> Path:
 def cases(inputs_dir: Path) -> dict[str, list[str]]:
     """The fixed case list, as CLI arguments without --out; writes the seeded inputs into inputs_dir.
 
-    It covers every subcommand, the split loop (N = 512), an odd grid (N = 33) and a generated chessboard.
+    It covers every subcommand, the split loop (N = 512), an odd grid (N = 33), a generated chessboard, all three
+    reference strategies (geometric on the chessboard, manual in spectrum) and homogenize's analytic anchor lines
+    for a laminate and a chessboard.
     """
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
@@ -104,13 +106,21 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     pinned = ["--set", "reference.strategy=arithmetic", "--set", "solver.tolerance=1e-8"]
     generated = ["--set", "micro.generator=inclusion", "--set", "micro.n=33", "--set", "micro.beta=10"]
     chessboard = ["--set", "micro.generator=chessboard", "--set", "micro.n=16", "--set", "micro.beta=3"]
+    laminate = ["--set", "micro.generator=laminate", "--set", "micro.n=16", "--set", "micro.beta=3",
+                "--set", "micro.fraction=0.25", "--set", "micro.axis=1"]
+    geometric = ["--set", "reference.strategy=geometric", "--set", "solver.tolerance=1e-8"]
+    manual = ["--set", "reference.strategy=manual", "--set", "reference.lambda0=6"]
     return {
         "solve-512": ["solve", "--set", f"micro.file={inclusion}", "--set", "e0=1,0,0", *pinned],
         "solve-33": ["solve", *generated, "--set", "e0=1,0.5,0.25", *pinned],
         "solve-chessboard-16": ["solve", *chessboard, "--set", "e0=0,0,1", *pinned],
+        "solve-chessboard-16-geometric": ["solve", *chessboard, "--set", "e0=1,0.5,0", *geometric],
         "homogenize-c100": ["homogenize", "--set", f"micro.file={three_phase}", *pinned],
+        "homogenize-laminate-16": ["homogenize", *laminate, *pinned],
+        "homogenize-chessboard-16": ["homogenize", *chessboard, *pinned],
         "spectrum-512": ["spectrum", "--set", f"micro.file={inclusion}", "--seed", str(SEED)],
         "spectrum-33": ["spectrum", *generated, "--seed", str(SEED)],
+        "spectrum-33-manual": ["spectrum", *generated, *manual, "--seed", str(SEED)],
         "green-8": ["green", "--y", "0.25,0.5", "--cutoff", "8"],
         "green-40": ["green", "--y", "0.25,0.5", "--cutoff", "40"],
         "generate": ["generate", *generated],
