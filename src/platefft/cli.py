@@ -207,6 +207,11 @@ def _reference_lines(ref) -> list[str]:
     ]
 
 
+def _report_head(command: str, desc: str, n: int, ref) -> list[str]:
+    """The first lines of solve's and homogenize's report.txt: format, command, cell, grid and reference."""
+    return ["plate-report v1", f"command {command}", f"microstructure {desc}", f"d 2 N {n}", *_reference_lines(ref)]
+
+
 def _bound_lines(key: str, ref) -> list[str]:
     """The spectral_bound line of the arithmetic rule; the other rules claim no bound."""
     if ref.strategy != "arithmetic":
@@ -226,11 +231,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
     write_field(os.path.join(out, "moment_J.field"), solution.moment)
     _write_history(out, "history.csv", solution.history)
     lines = [
-        "plate-report v1",
-        "command solve",
-        f"microstructure {desc}",
-        f"d 2 N {field.n}",
-        *_reference_lines(ref),
+        *_report_head("solve", desc, field.n, ref),
         *_bound_lines("spectral_bound", ref),
         f"tolerance {_fmt(cfg.tolerance)}",
         f"max_iterations {cfg.max_iterations}",
@@ -278,11 +279,7 @@ def cmd_homogenize(cfg: RunConfig, out: str) -> int:
     for case in effective.load_cases:
         _write_history(out, f"history_case{case.index}.csv", case.history)
     lines = [
-        "plate-report v1",
-        "command homogenize",
-        f"microstructure {desc}",
-        f"d 2 N {field.n}",
-        *_reference_lines(ref),
+        *_report_head("homogenize", desc, field.n, ref),
         f"tolerance {_fmt(cfg.tolerance)}",
         f"asymmetry {_fmt(effective.asymmetry)}",
         "iterations " + " ".join(str(c.iterations) for c in effective.load_cases),

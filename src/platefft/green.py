@@ -83,36 +83,27 @@ def _dyad(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     return nvec[..., :, None] * nvec[..., None, :]
 
 
-@dataclass(frozen=True)
 class FrequencyGrid:
-    """Integer DFT frequencies for an N x N grid, with cached symbol arrays.
+    """Integer DFT frequencies for an N x N grid (the lattice dimension d must be 2), with cached symbol arrays.
 
     inv_norm4 is 1/|n|^4 on the resolved modes (no Nyquist rows on even N), for Gamma and the fixed point;
     inv_norm4_all is 1/|n|^4 on every nonzero mode, for weyl_decompose and build_skew_potential; both 0 elsewhere.
     """
 
-    d: int
-    n: int
-
-    def __post_init__(self):
-        if self.d != 2:
+    def __init__(self, d: int, n: int):
+        if d != 2:
             raise ValueError("grid operators are implemented for d = 2")
-        if self.n < 2:
-            raise ValueError(f"grid must have N >= 2 points per axis, got {self.n}")
-        f = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
-        n1 = np.broadcast_to(f[:, None], (self.n, self.n)).astype(float)
-        n2 = np.broadcast_to(f[None, :], (self.n, self.n)).astype(float)
-        nn = np.stack([n1 * n1, n2 * n2, SQRT2 * (n1 * n2)], axis=-1)  # mandel(n (x) n)
+        if n < 2:
+            raise ValueError(f"grid must have N >= 2 points per axis, got {n}")
+        self.n = n
+        f = np.rint(np.fft.fftfreq(n) * n).astype(int)
+        n1 = np.broadcast_to(f[:, None], (n, n)).astype(float)
+        n2 = np.broadcast_to(f[None, :], (n, n)).astype(float)
+        self.components = (n1, n2)
+        self.mandel_nn = np.stack([n1 * n1, n2 * n2, SQRT2 * (n1 * n2)], axis=-1)  # mandel(n (x) n)
         norm4 = (n1**2 + n2**2) ** 2
-        inv_norm4_all = np.divide(1.0, norm4, out=np.zeros_like(norm4), where=norm4 > 0)
-        inv_norm4 = np.where((n1 == -self.n / 2) | (n2 == -self.n / 2), 0.0, inv_norm4_all)  # Nyquist rows, even N only
-        for name, arr in (
-            ("components", (n1, n2)),
-            ("mandel_nn", nn),
-            ("inv_norm4", inv_norm4),
-            ("inv_norm4_all", inv_norm4_all),
-        ):
-            object.__setattr__(self, name, arr)
+        self.inv_norm4_all = np.divide(1.0, norm4, out=np.zeros_like(norm4), where=norm4 > 0)
+        self.inv_norm4 = np.where((n1 == -n / 2) | (n2 == -n / 2), 0.0, self.inv_norm4_all)  # Nyquist rows, even N only
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ table mapping ids to stiffness tensors.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Mapping
@@ -54,23 +55,23 @@ class CoefficientField:
         n = pm.shape[0]
         if n < 2:
             raise ValueError(f"grid must have N >= 2 points per axis, got {n}")
-        unknown = set(np.unique(pm).tolist()) - set(self.table.phases)
+        ids, counts = np.unique(pm, return_counts=True)  # the one scan of the map: its phases and their voxel counts
+        unknown = set(ids.tolist()) - set(self.table.phases)
         if unknown:
             raise ValueError(f"phase map references unknown phase ids {sorted(unknown)}")
         pm.flags.writeable = False
         object.__setattr__(self, "phase_map", pm)
+        object.__setattr__(self, "_fractions", {int(i): float(c) / pm.size for i, c in zip(ids, counts)})
 
     @property
     def n(self) -> int:
         return self.phase_map.shape[0]
 
     def present_phases(self) -> list[int]:
-        return [int(p) for p in np.unique(self.phase_map)]
+        return list(self._fractions)
 
     def volume_fractions(self) -> dict[int, float]:
-        ids, counts = np.unique(self.phase_map, return_counts=True)
-        total = self.phase_map.size
-        return {int(i): float(c) / total for i, c in zip(ids, counts)}
+        return dict(self._fractions)
 
     def mandel_grid(self) -> np.ndarray:
         """Per-voxel Mandel matrices, shape (N, N, M, M): the transposed view of one contiguous (M, M, N, N) grid."""
@@ -171,8 +172,8 @@ def load_microstructure(path) -> CoefficientField:
         if next(lines, None) != MICRO_MAGIC.split():
             raise MicrostructureFormatError(f"missing '{MICRO_MAGIC}' header line")
         n, n_phases = _read_sizes(next(lines, []), "phases", MicrostructureFormatError)
-        if n_phases < 1:
-            raise MicrostructureFormatError(f"need at least one phase, got phases {n_phases}")
+        if not 1 <= n_phases <= sys.maxsize:  # islice takes at most sys.maxsize rows
+            raise MicrostructureFormatError(f"need between 1 and {sys.maxsize} phases, got phases {n_phases}")
         upper = np.triu_indices(M)
         rows = np.array(list(islice(lines, n_phases)), dtype=object)
         if rows.shape != (n_phases, 2 + len(upper[0])) or (rows[:, 0] != "phase").any():

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +72,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.e0 is not None and not np.isfinite(self.e0.mandel).all():
             raise ValueError(f"e0 must be finite, got {self.e0.mandel}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
@@ -260,7 +261,7 @@ def estimate_spectral_radius(
     x -= x.mean(axis=(1, 2), keepdims=True)
     x /= math.sqrt(_inner(x, x) / (n * n))
     s = np.empty((n, n // 2 + 1), dtype=complex)
-    ratios = []
+    ratios = deque(maxlen=5)  # the last five ratios, which the estimate averages
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(iterations):
             step(x, s)
@@ -272,4 +273,4 @@ def estimate_spectral_radius(
             ratios.append(r)
             step.green.inverse(step.spec, x)
             x /= -r  # B x / |B x|
-    return float(np.exp(np.log(ratios[-5:]).sum() / len(ratios[-5:])))
+    return float(np.exp(np.log(ratios).sum() / len(ratios)))

@@ -42,8 +42,8 @@ def run_rejected(capsys, *argv):
 
 
 def process_rejected(*argv):
-    """Run `python -m platefft.cli` on an input it must reject: exit 1, one `error:` line, no traceback."""
-    proc = subprocess.run([sys.executable, "-m", "platefft.cli", *argv], capture_output=True, text=True,
+    """Run `python -W error -m platefft.cli` on an input it must reject: exit 1, one `error:` line, no traceback."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "platefft.cli", *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
@@ -617,6 +617,25 @@ class TestErrorBoundary:
         blocker.write_text("")
         process_rejected("solve", "--out", str(blocker / "x"), *CHESSBOARD, "--set", "e0=1,0,0")
 
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["solve", "homogenize"])
+    def test_tolerance_outside_zero_to_inf_exits_1(self, tmp_path, capsys, command, tolerance):
+        # an infinite tolerance would stop after one iteration and report the solve converged
+        out = tmp_path / "run"
+        err = run_rejected(capsys, command, "--out", str(out), *CHESSBOARD, "--set", "e0=1,0,0",
+                           "--set", f"solver.tolerance={tolerance}")
+        assert err == f"error: tolerance must be positive and finite, got {float(tolerance)}\n"
+        assert not out.exists()
+
+    def test_process_rejects_infinite_tolerance_and_oversized_phase_count(self, tmp_path):
+        process_rejected("solve", "--out", str(tmp_path / "a"), *CHESSBOARD, "--set", "e0=1,0,0",
+                         "--set", "solver.tolerance=inf")
+        micro = tmp_path / "count.micro"
+        micro.write_text("plate-micro v1\nd 2 N 2 phases 12345678901234567890\nphase 0 1 0 0 1 0 1\n0 0 0 0\n")
+        err = process_rejected("solve", "--out", str(tmp_path / "b"), "--set", f"micro.file={micro}", "--set", "e0=1,0,0")
+        assert "phases 12345678901234567890" in err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
     @pytest.mark.parametrize("argv", [
         ("solve", "--set", "micro.generator=inclusion", "--set", "micro.n=10000000", "--set", "e0=1,0,0"),
         ("green", "--y", "0.25,0.5", "--cutoff", "5000000"),
@@ -654,6 +673,19 @@ def mutated(draw, text: str) -> bytes:
     return data
 
 
+def run_contract(argv: list[str]) -> int:
+    """main(argv) with warnings as errors: exit 0, 1 or 2, and exit 1 prints one `error:` line; returns the code."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    return code
+
+
 class TestMutatedInputFiles:
     """A mutated field or microstructure file ends in exit 0, 1 or 2; exit 1 prints one `error:` line, and no
     exception or warning leaves main."""
@@ -663,14 +695,7 @@ class TestMutatedInputFiles:
             path = os.path.join(tmp, name)
             with open(path, "wb") as fh:
                 fh.write(data)
-            err = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                warnings.simplefilter("error")
-                code = main([*argv(path), "--out", os.path.join(tmp, "run")])
-        assert code in (0, 1, 2)
-        if code == 1:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+            run_contract([*argv(path), "--out", os.path.join(tmp, "run")])
 
     @settings(deadline=None, derandomize=True, max_examples=100)
     @given(mutated(VALID_FIELD))
@@ -681,6 +706,61 @@ class TestMutatedInputFiles:
     @given(mutated(VALID_MICRO))
     def test_mutated_microstructure_through_solve(self, data):
         self.check_contract(data, "in.micro", lambda path: ["solve", "--set", f"micro.file={path}", "--set", "e0=1,0,0"])
+
+
+# Each key's ordinary values, which let a drawn run get far, and edge values, which probe the key's checks. The
+# loop budgets' edges are small: a 20-digit budget is work the user asked for, not a fault.
+SET_EDGES = ["0", "-1", "1e300", "1e-300", "-1e300", "1e308", "inf", "-inf", "nan", "5e-324", "1e-320", "", "x",
+             "12345678901234567890"]
+SET_VALUES = {
+    "micro.generator": (["chessboard", "laminate", "inclusion"], SET_EDGES),
+    "micro.alpha": (["1", "3", "100"], SET_EDGES),
+    "micro.beta": (["1", "3", "100"], SET_EDGES),
+    "micro.fraction": (["0.25", "0.5"], SET_EDGES),
+    "micro.axis": (["0", "1"], SET_EDGES),
+    "micro.radius": (["0.25", "0.4"], SET_EDGES),
+    "reference.strategy": (["arithmetic", "geometric", "manual"], SET_EDGES),
+    "reference.lambda0": (["2", "50"], SET_EDGES),
+    "solver.tolerance": (["1e-8", "1e-3"], SET_EDGES),
+    "solver.max_iterations": (["1", "3", "40"], ["0", "-1", "", "x", "nan", "1e300"]),
+    "spectrum.iterations": (["10", "25"], ["0", "-1", "9", "", "x", "inf"]),
+    "e0": (["1,0,0", "1,0.5,0.25"], SET_EDGES),
+    "seed": (["0", "7"], SET_EDGES),
+}
+REQUIRED = {"micro.generator", "e0", "solver.max_iterations"}  # set unless at an edge; max_iterations' default is 5000
+
+
+@st.composite
+def run_settings(draw) -> list[str]:
+    """--set arguments: micro.n from {4, 5, 8, 16}, up to two keys at edge values (e0's edge is one value or three),
+    and each other key ordinary, or absent unless REQUIRED."""
+    edged = draw(st.sets(st.sampled_from(sorted(SET_VALUES)), max_size=2))
+    sets = {"micro.n": draw(st.sampled_from(["4", "5", "8", "16"]))}
+    for key, (ordinary, edges) in SET_VALUES.items():
+        if key in edged:
+            edge = st.sampled_from(edges)
+            sets[key] = draw(st.lists(edge, min_size=3, max_size=3).map(",".join) | edge if key == "e0" else edge)
+        else:
+            sets[key] = draw(st.sampled_from(ordinary if key in REQUIRED else [None, *ordinary]))
+    return [arg for key, value in sets.items() if value is not None for arg in ("--set", f"{key}={value}")]
+
+
+class TestConfigContract:
+    """Drawn --set configurations end in exit 0, 1 or 2 with no exception or warning leaving main; exit 1 prints
+    one `error:` line, and no artifact of an exit-0 run holds nan or inf."""
+
+    @pytest.mark.parametrize("command", ["solve", "homogenize", "spectrum", "generate"])
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(sets=run_settings())
+    def test_drawn_settings_keep_the_contract(self, command, sets):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "run")
+            if run_contract([command, *sets, "--out", out]) == 0:
+                for root, _, names in os.walk(out):
+                    for name in names:
+                        with open(os.path.join(root, name), "rb") as fh:
+                            tokens = fh.read().replace(b",", b" ").lower().split()
+                        assert not {b"nan", b"inf", b"-inf"} & set(tokens), (name, sets)
 
 
 class TestBenchmarkReach:

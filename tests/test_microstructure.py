@@ -152,6 +152,31 @@ class TestEigenRange:
         assert f.eigen_range() == (1.0, 1.0)
 
 
+class TestPhaseCensus:
+    """present_phases, volume_fractions and eigen_range read one census of the map, taken when the field is built."""
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(random_fields())
+    def test_census_counts_the_map(self, f):
+        ids, counts = np.unique(f.phase_map, return_counts=True)
+        assert f.present_phases() == ids.tolist()
+        assert f.volume_fractions() == {int(i): c / f.phase_map.size for i, c in zip(ids, counts)}
+
+    def test_absent_phase_left_out(self):
+        table = PhaseTable({0: scalar_phase(1.0), 3: scalar_phase(9.0), 5: scalar_phase(2.0)})
+        f = CoefficientField(np.array([[5, 0], [0, 0]]), table)
+        assert f.present_phases() == [0, 5]
+        assert f.volume_fractions() == {0: 0.75, 5: 0.25}
+        assert f.eigen_range() == (1.0, 2.0)
+
+    def test_callers_get_fresh_containers(self):
+        f = generate_laminate(scalar_phase(1.0), scalar_phase(2.0), 0.25, 0, 8)
+        f.present_phases().append(7)
+        f.volume_fractions()[0] = 1.0
+        assert f.present_phases() == [0, 1]
+        assert f.volume_fractions() == {0: 0.25, 1: 0.75}
+
+
 class TestFieldValidation:
     def test_unknown_phase_in_map(self):
         table = PhaseTable({0: scalar_phase(1.0)})
@@ -232,6 +257,14 @@ class TestFileFormat:
         path = tmp_path / "hdr.micro"
         path.write_text("plate-micro v1\nd 2 M 4 phases 1\n")
         with pytest.raises(MicrostructureFormatError, match="size header"):
+            load_microstructure(path)
+
+    @pytest.mark.parametrize("count", ["0", "-1", "12345678901234567890"], ids=["zero", "negative", "beyond-maxsize"])
+    def test_phase_count_out_of_range(self, tmp_path, count):
+        # a count above sys.maxsize is named in the error, not left to fail inside the row reader
+        path = tmp_path / "count.micro"
+        path.write_text(f"plate-micro v1\nd 2 N 2 phases {count}\nphase 0 1 0 0 1 0 1\n0 0 0 0\n")
+        with pytest.raises(MicrostructureFormatError, match=f"got phases {count}$"):
             load_microstructure(path)
 
     @pytest.mark.parametrize("entry", ["99999999999999999999", "-9223372036854775809", "1.0", "x"])

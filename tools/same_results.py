@@ -89,8 +89,9 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     """The fixed case list, as CLI arguments without --out; writes the seeded inputs into inputs_dir.
 
     It covers every subcommand, the split loop (N = 512), an odd grid (N = 33), a generated chessboard, all three
-    reference strategies (geometric on the chessboard, manual in spectrum) and homogenize's analytic anchor lines
-    for a laminate and a chessboard.
+    reference strategies (geometric on the chessboard, manual in spectrum), homogenize's analytic anchor lines
+    for a laminate and a chessboard, and an N = 16 file whose phase table holds a stiff phase that is absent from
+    the map, so that the eigen-range, the Voigt-Reuss fractions and the a-priori bound run over present phases only.
     """
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
@@ -100,6 +101,10 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     inputs.inclusion_micro(inclusion, np.random.default_rng(SEED), 512, contrast=10.0)
     three_phase = inputs_dir / "three_phase64.micro"
     inputs.three_phase_micro(three_phase, np.random.default_rng(SEED), 64, contrast=100.0)
+    absent = inputs_dir / "absent_phase16.micro"  # phase 1 is in the table only; the map holds phases 0 and 2
+    stripes = np.where(np.add.outer(np.arange(16), np.arange(16)) % 4 == 0, 2, 0)  # diagonal stripes of phase 2
+    anisotropic = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+    inputs.write_micro(absent, {0: np.eye(3), 1: 1000.0 * np.eye(3), 2: anisotropic}, stripes)
     fields = {n: inputs_dir / f"gaussian{n}.field" for n in (33, 512)}
     for n, path in fields.items():
         inputs.gaussian_field(path, np.random.default_rng(SEED), n)
@@ -118,7 +123,9 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
         "homogenize-c100": ["homogenize", "--set", f"micro.file={three_phase}", *pinned],
         "homogenize-laminate-16": ["homogenize", *laminate, *pinned],
         "homogenize-chessboard-16": ["homogenize", *chessboard, *pinned],
+        "homogenize-absent-phase-16": ["homogenize", "--set", f"micro.file={absent}", *pinned],
         "spectrum-512": ["spectrum", "--set", f"micro.file={inclusion}", "--seed", str(SEED)],
+        "spectrum-absent-phase-16": ["spectrum", "--set", f"micro.file={absent}", "--seed", str(SEED)],
         "spectrum-33": ["spectrum", *generated, "--seed", str(SEED)],
         "spectrum-33-manual": ["spectrum", *generated, *manual, "--seed", str(SEED)],
         "green-8": ["green", "--y", "0.25,0.5", "--cutoff", "8"],
