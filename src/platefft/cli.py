@@ -51,10 +51,6 @@ from .solver import (
 )
 
 
-class ConfigError(ValueError):
-    """Usage or configuration problem (exit code 1)."""
-
-
 def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
@@ -107,12 +103,12 @@ _KEYS = {
 def _assign(cfg: RunConfig, key: str, value: str) -> None:
     key = key.strip()
     if key not in _KEYS:
-        raise ConfigError(f"unknown configuration key {key!r}")
+        raise ValueError(f"unknown configuration key {key!r}")
     attr, parser = _KEYS[key]
     try:
         setattr(cfg, attr, parser(value.strip()))
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {exc}") from None
+        raise ValueError(f"bad value for {key}: {exc}") from None
 
 
 def load_run_config(path: str | None, sets: list[str], seed: int | None) -> RunConfig:
@@ -122,18 +118,18 @@ def load_run_config(path: str | None, sets: list[str], seed: int | None) -> RunC
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
         except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
+            raise ValueError(f"cannot read config file: {exc}") from None
         for lineno, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
             _assign(cfg, key, value)
     for item in sets:
         if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         _assign(cfg, key, value)
     if seed is not None:
@@ -144,15 +140,15 @@ def load_run_config(path: str | None, sets: list[str], seed: int | None) -> RunC
 def build_field(cfg: RunConfig) -> tuple[CoefficientField, str]:
     """Materialize the microstructure; returns the field and a description line."""
     if (cfg.micro_file is None) == (cfg.generator is None):
-        raise ConfigError("exactly one of micro.file and micro.generator is required")
+        raise ValueError("exactly one of micro.file and micro.generator is required")
     if cfg.micro_file is not None:
         try:
             field = load_microstructure(cfg.micro_file)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load microstructure: {exc}") from None
+            raise ValueError(f"cannot load microstructure: {exc}") from None
         return field, f"file {cfg.micro_file}"
     if cfg.n is None:
-        raise ConfigError("generators require micro.n")
+        raise ValueError("generators require micro.n")
     # Not alpha * identity: 0 * inf would warn before StiffTensor4 rejects the infinite entry.
     a = StiffTensor4(np.diag([cfg.alpha] * M))
     b = StiffTensor4(np.diag([cfg.beta] * M))
@@ -166,7 +162,7 @@ def build_field(cfg: RunConfig) -> tuple[CoefficientField, str]:
         field = generate_inclusion(a, b, cfg.radius, cfg.n)
         desc = f"inclusion alpha {_fmt(cfg.alpha)} beta {_fmt(cfg.beta)} radius {_fmt(cfg.radius)}"
     else:
-        raise ConfigError(f"unknown generator {cfg.generator!r}")
+        raise ValueError(f"unknown generator {cfg.generator!r}")
     return field, desc
 
 
@@ -222,7 +218,7 @@ def _bound_lines(key: str, ref) -> list[str]:
 def cmd_solve(cfg: RunConfig, out: str) -> int:
     field, desc = build_field(cfg)
     if cfg.e0 is None:
-        raise ConfigError("solve requires e0")
+        raise ValueError("solve requires e0")
     ref = select_reference(field, cfg.strategy, cfg.lambda0)
     config = SolverConfig(SymTensor2(np.array(cfg.e0)), cfg.tolerance, cfg.max_iterations)
     solution = solve_cell(field, ref, config)
@@ -328,11 +324,11 @@ def cmd_green(y_text: str, cutoff: int, out: str | None) -> int:
     try:
         y = np.array([float(v) for v in y_text.replace(",", " ").split()])
     except ValueError as exc:
-        raise ConfigError(f"bad evaluation point: {exc}") from None
+        raise ValueError(f"bad evaluation point: {exc}") from None
     if y.shape[0] != 2:
-        raise ConfigError(f"evaluation point needs 2 coordinates, got {y.shape[0]}")
+        raise ValueError(f"evaluation point needs 2 coordinates, got {y.shape[0]}")
     if not np.isfinite(y).all():
-        raise ConfigError(f"evaluation point must be finite, got {y_text!r}")
+        raise ValueError(f"evaluation point must be finite, got {y_text!r}")
     value = green_evaluate(y, cutoff)
     lines = [
         "plate-green v1",
@@ -348,21 +344,24 @@ def cmd_decompose(field_path: str, out: str) -> int:
     try:
         values = read_field(field_path)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read field: {exc}") from None
-    spectral = SpectralField.from_real(values)
-    pot, sol, mean = weyl_decompose(spectral)
-    n = spectral.n
+        raise ValueError(f"cannot read field: {exc}") from None
+    n = values.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, before anything is written
+        pot, sol, mean = weyl_decompose(SpectralField.from_real(values))
+        mean_grid = np.array(np.broadcast_to(mean.mandel, (n, n, M)))
+        mean_field = SpectralField.from_real(mean_grid)
+        inner = {
+            "pot_sol": l2_inner(pot, sol),
+            "pot_mean": l2_inner(pot, mean_field),
+            "sol_mean": l2_inner(sol, mean_field),
+        }
+    # A non-finite coefficient in either part makes pot_sol non-finite, so this covers the parts too.
+    if not (np.isfinite(mean.mandel).all() and np.isfinite(list(inner.values())).all()):
+        raise ValueError("field is too large to decompose: its mean or L2 inner products overflow")
     os.makedirs(out, exist_ok=True)
     write_field(os.path.join(out, "part_pot.field"), pot.to_real())
     write_field(os.path.join(out, "part_sol.field"), sol.to_real())
-    mean_grid = np.array(np.broadcast_to(mean.mandel, (n, n, M)))
     write_field(os.path.join(out, "part_mean.field"), mean_grid)
-    mean_field = SpectralField.from_real(mean_grid)
-    inner = {
-        "pot_sol": l2_inner(pot, sol),
-        "pot_mean": l2_inner(pot, mean_field),
-        "sol_mean": l2_inner(sol, mean_field),
-    }
     lines = ["plate-decompose v1", f"d 2 N {n}"]
     lines += [f"inner_{k} {_fmt(v)}" for k, v in inner.items()]
     _write_text(out, "decompose_report.txt", lines, echo=True)
@@ -371,7 +370,7 @@ def cmd_decompose(field_path: str, out: str) -> int:
 
 def cmd_generate(cfg: RunConfig, out: str) -> int:
     if cfg.generator is None:
-        raise ConfigError("generate requires micro.generator")
+        raise ValueError("generate requires micro.generator")
     field, desc = build_field(cfg)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "microstructure.micro")
@@ -382,7 +381,7 @@ def cmd_generate(cfg: RunConfig, out: str) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 on usage errors, per the contract
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,9 +67,10 @@ def green_evaluate(y, cutoff: int) -> float:
     """Truncated series of the periodic biharmonic fundamental solution at y.
 
     Sums the modes with 0 < |n|_inf <= cutoff; the result is real because the
-    coefficients are even in n.
+    coefficients are even in n.  y is first reduced modulo 1 (exactly), the
+    period of the series, so that n . y stays small for every finite y.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.mod(np.asarray(y, dtype=float), 1.0)
     modes, _ = _lattice(y.shape[0], cutoff)
     phase = sum(g * yk for g, yk in zip(modes, y))
     coeff = green_fourier_coefficient(np.stack(modes, axis=-1))
@@ -106,20 +106,17 @@ class FrequencyGrid:
         self.inv_norm4 = np.where((n1 == -n / 2) | (n2 == -n / 2), 0.0, self.inv_norm4_all)  # Nyquist rows, even N only
 
 
-@dataclass(frozen=True)
 class SpectralField:
     """Complex Fourier coefficients of a Mandel-vector-valued periodic field.
 
     Layout: shape (N, N, M), unnormalized forward DFT over the two grid axes.
     """
 
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs)
+    def __init__(self, coeffs: np.ndarray):
+        c = np.asarray(coeffs)
         if c.ndim != 3 or c.shape != (c.shape[0], c.shape[0], M):
             raise ValueError(f"coefficient array shape {c.shape} is not (N, N, {M})")
-        object.__setattr__(self, "coeffs", np.ascontiguousarray(c, dtype=complex))
+        self.coeffs = np.ascontiguousarray(c, dtype=complex)
 
     @classmethod
     def from_real(cls, values: np.ndarray) -> "SpectralField":

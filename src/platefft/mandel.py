@@ -10,8 +10,6 @@ encoding would distort them).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SQRT2 = float(np.sqrt(2.0))
@@ -80,18 +78,15 @@ def trace_dyad() -> np.ndarray:
     return np.outer(iv, iv)
 
 
-@dataclass(frozen=True)
 class SymTensor2:
     """Symmetric second-order tensor stored as a Mandel vector."""
 
-    mandel: np.ndarray
-
-    def __post_init__(self):
-        vec = np.array(self.mandel, dtype=float)
+    def __init__(self, mandel: np.ndarray):
+        vec = np.array(mandel, dtype=float)
         if vec.shape != (M,):
             raise ValueError(f"Mandel vector must have shape ({M},), got {vec.shape}")
         vec.flags.writeable = False
-        object.__setattr__(self, "mandel", vec)
+        self.mandel = vec
 
     @classmethod
     def basis(cls, index: int) -> "SymTensor2":
@@ -101,14 +96,11 @@ class SymTensor2:
         return cls(v)
 
 
-@dataclass(frozen=True)
 class StiffTensor4:
     """Fourth-order stiffness tensor with minor+major symmetries (Mandel matrix)."""
 
-    mandel_matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.mandel_matrix, dtype=float)
+    def __init__(self, mandel_matrix: np.ndarray):
+        mat = np.array(mandel_matrix, dtype=float)
         if mat.shape != (M, M):
             raise ValueError(f"Mandel matrix must have shape ({M}, {M}), got {mat.shape}")
         if not np.isfinite(mat).all():
@@ -119,7 +111,7 @@ class StiffTensor4:
             raise ValueError("Mandel matrix is not symmetric (major symmetry violated)")
         mat = np.where(mat == mat.T, mat, half + half.T)  # halving rounds a subnormal's last bit away
         mat.flags.writeable = False
-        object.__setattr__(self, "mandel_matrix", mat)
+        self.mandel_matrix = mat
 
     @classmethod
     def identity(cls) -> "StiffTensor4":

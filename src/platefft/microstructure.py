@@ -8,7 +8,6 @@ table mapping ids to stiffness tensors.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import islice
 from typing import Mapping
 
@@ -26,42 +25,36 @@ class MicrostructureFormatError(ValueError):
     """Raised for malformed microstructure files."""
 
 
-@dataclass(frozen=True)
 class PhaseTable:
     """Map from phase id to a positive definite stiffness tensor."""
 
-    phases: Mapping[int, StiffTensor4]
-
-    def __post_init__(self):
-        phases = dict(self.phases)
+    def __init__(self, phases: Mapping[int, StiffTensor4]):
+        phases = dict(phases)
         if not phases:
             raise ValueError("phase table must contain at least one phase")
         if min(t.eigenvalues()[0] for t in phases.values()) <= 0:
             raise ValueError("phases must be positive definite")
-        object.__setattr__(self, "phases", phases)
+        self.phases = phases
 
 
-@dataclass(frozen=True)
 class CoefficientField:
     """Periodic voxel grid of stiffness tensors (phase map + phase table)."""
 
-    phase_map: np.ndarray
-    table: PhaseTable
-
-    def __post_init__(self):
-        pm = np.array(self.phase_map, dtype=int)
+    def __init__(self, phase_map: np.ndarray, table: PhaseTable):
+        pm = np.array(phase_map, dtype=int)
         if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
             raise ValueError(f"phase map must be N x N, got shape {pm.shape}")
         n = pm.shape[0]
         if n < 2:
             raise ValueError(f"grid must have N >= 2 points per axis, got {n}")
         ids, counts = np.unique(pm, return_counts=True)  # the one scan of the map: its phases and their voxel counts
-        unknown = set(ids.tolist()) - set(self.table.phases)
+        unknown = set(ids.tolist()) - set(table.phases)
         if unknown:
             raise ValueError(f"phase map references unknown phase ids {sorted(unknown)}")
         pm.flags.writeable = False
-        object.__setattr__(self, "phase_map", pm)
-        object.__setattr__(self, "_fractions", {int(i): float(c) / pm.size for i, c in zip(ids, counts)})
+        self.phase_map = pm
+        self.table = table
+        self._fractions = {int(i): float(c) / pm.size for i, c in zip(ids, counts)}
 
     @property
     def n(self) -> int:

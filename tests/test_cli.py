@@ -399,13 +399,27 @@ class TestGreenCommand:
     def test_nonfinite_point_exits_1(self, capsys, y):
         run_rejected(capsys, "green", "--y", y, "--cutoff", "8")
 
+    @pytest.mark.parametrize("shifted, base", [("3.25,0.5", "0.25,0.5"), ("-0.75,0.5", "0.25,0.5"),
+                                               ("1e17,0.5", "0,0.5"), ("0.25,-1e17", "0.25,0"), ("1e308,0", "0,0")])
+    def test_point_reduced_modulo_one(self, capsys, shifted, base):
+        # the series has period 1; n . y formed before the reduction loses y's fraction, or overflows near 1e308
+        values = []
+        for y in (shifted, base):
+            assert run("green", f"--y={y}", "--cutoff", "4") == 0
+            values.append(capsys.readouterr().out.splitlines()[-1])
+        assert values[0] == values[1] and math.isfinite(float(values[0].split()[1]))
+
 
 class TestDecomposeCommand:
     @pytest.mark.parametrize(
         "text",
         ["plate-field v1 d 2 N 1 m 3\n0 0 0\n", "plate-field v1 d 2 N 2 m 3\n0 0 0\n0 nan 0\n0 0 0\n0 0 0\n",
-         "plate-field v1 d 2 N 2 m 3\n0 0 0\n0 0 0\ninf 0 0\n0 0 -inf\n"],
-        ids=["one-point-grid", "nan-entry", "inf-entries"],
+         "plate-field v1 d 2 N 2 m 3\n0 0 0\n0 0 0\ninf 0 0\n0 0 -inf\n", "plate-field v1 d 2 N 2 m 3\n" + "0 0\n" * 4,
+         # finite entries whose transform or L2 inner products overflow
+         "plate-field v1 d 2 N 4 m 3\n" + "".join(f"{a!r} {b!r} {c!r}\n" for a, b, c in
+                                                  (np.random.default_rng(0).standard_normal((16, 3)) * 1e160).tolist()),
+         "plate-field v1 d 2 N 2 m 3\n" + "1e308 1e308 1e308\n" * 4],
+        ids=["one-point-grid", "nan-entry", "inf-entries", "two-reals-per-row", "entries-near-1e160", "entries-1e308"],
     )
     def test_bad_field_exits_1(self, tmp_path, capsys, text):
         src = tmp_path / "bad.field"
@@ -524,6 +538,25 @@ class TestErrorBoundary:
         err = run_rejected(capsys, "spectrum", *CHESSBOARD, "--out", str(blocker))
         assert str(blocker) in err
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--set", "micro.n"], "--set expects key=value, got 'micro.n'"),
+        (["solve", "--config", "run.cfg"], "run.cfg:2: expected key=value, got 'micro.n 8'"),
+        (["solve", "--set", "micro.generator=chessboard", "--set", "e0=1,0,0"], "generators require micro.n"),
+        (["solve", *CHESSBOARD], "solve requires e0"),
+        (["generate", "--set", "micro.n=4"], "generate requires micro.generator"),
+        (["solve", *CHESSBOARD, "--set", "e0=1,0,0", "--set", "solver.max_iterations=0"],
+         "max_iterations must be >= 1, got 0"),
+        (["green", "--y", "x,0", "--cutoff", "2"], "bad evaluation point"),
+        (["green", "--y", "0.25,0.5", "--cutoff", "0"], "cutoff must be >= 1, got 0"),
+    ], ids=["set-without-equals", "config-line-without-equals", "generator-without-n", "solve-without-e0",
+            "generate-without-generator", "zero-iteration-budget", "unparsable-point", "zero-cutoff"])
+    def test_incomplete_or_malformed_arguments_exit_1(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("micro.generator = chessboard\nmicro.n 8\n")
+        err = run_rejected(capsys, *argv, "--out", "run")
+        assert message in err
+        assert not (tmp_path / "run").exists()
 
     def test_non_utf8_config_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -745,6 +778,15 @@ def run_settings(draw) -> list[str]:
     return [arg for key, value in sets.items() if value is not None for arg in ("--set", f"{key}={value}")]
 
 
+def assert_finite_artifacts(out: str, drawn) -> None:
+    """No artifact under out holds nan or inf; drawn names the input in the failure message."""
+    for root, _, names in os.walk(out):
+        for name in names:
+            with open(os.path.join(root, name), "rb") as fh:
+                tokens = fh.read().replace(b",", b" ").lower().split()
+            assert not {b"nan", b"inf", b"-inf"} & set(tokens), (name, drawn)
+
+
 class TestConfigContract:
     """Drawn --set configurations end in exit 0, 1 or 2 with no exception or warning leaving main; exit 1 prints
     one `error:` line, and no artifact of an exit-0 run holds nan or inf."""
@@ -756,11 +798,33 @@ class TestConfigContract:
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "run")
             if run_contract([command, *sets, "--out", out]) == 0:
-                for root, _, names in os.walk(out):
-                    for name in names:
-                        with open(os.path.join(root, name), "rb") as fh:
-                            tokens = fh.read().replace(b",", b" ").lower().split()
-                        assert not {b"nan", b"inf", b"-inf"} & set(tokens), (name, sets)
+                assert_finite_artifacts(out, sets)
+
+
+class TestNumericRangeContract:
+    """green at drawn points and decompose on finite fields drawn across the float range keep the same contract
+    as TestConfigContract."""
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(y=st.lists(st.sampled_from(["0.25", "0.5", "1e17", "-1e17", *SET_EDGES]), min_size=2, max_size=2),
+           cutoff=st.sampled_from(["1", "2", "8", "0", "-1", "", "x"]))
+    def test_drawn_green_points(self, y, cutoff):
+        # --y=... and --cutoff=...: argparse would read a separate "-1e17,0.5" as an option
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "run")
+            if run_contract(["green", f"--y={','.join(y)}", f"--cutoff={cutoff}", "--out", out]) == 0:
+                assert_finite_artifacts(out, (y, cutoff))
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(n=st.sampled_from([2, 3, 4, 8]), exponent=st.sampled_from([-320, -300, 0, 150, 155, 200, 300, 307]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_drawn_field_scales(self, n, exponent, seed):
+        values = np.random.default_rng(seed).standard_normal((n, n, 3)) * 10.0**exponent
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "in.field"), os.path.join(tmp, "run")
+            write_field(path, values)
+            if run_contract(["decompose", path, "--out", out]) == 0:
+                assert_finite_artifacts(out, (n, exponent, seed))
 
 
 class TestBenchmarkReach:

@@ -235,6 +235,17 @@ class TestGammaApply:
             assert l2_norm(twice - once) <= 1e-10 * max(l2_norm(once), 1e-30)
 
 
+class TestSpectralField:
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 5, 3), (4, 4, 2)])
+    def test_shape_other_than_n_n_m_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"is not \(N, N, 3\)"):
+            SpectralField(coeffs=np.zeros(shape))
+
+    def test_inner_product_across_grids_rejected(self):
+        with pytest.raises(ValueError, match="different grids"):
+            l2_inner(SpectralField(np.zeros((4, 4, 3))), SpectralField(np.zeros((5, 5, 3))))
+
+
 class TestWeylDecompose:
     def test_constant_field(self):
         p = np.ones((8, 8, 3)) * np.array([1.0, 2.0, 3.0])
@@ -423,6 +434,11 @@ def norm4_of(grid):
 
 
 class TestFrequencyGrid:
+    @pytest.mark.parametrize("d, n, message", [(3, 4, "d = 2"), (2, 1, "N >= 2")])
+    def test_grid_outside_two_dimensions_or_below_two_points_rejected(self, d, n, message):
+        with pytest.raises(ValueError, match=message):
+            FrequencyGrid(d, n)
+
     @pytest.mark.parametrize("n", [4, 5, 8])
     def test_frequency_count_and_zero(self, n):
         grid = FrequencyGrid(2, n)

@@ -259,6 +259,13 @@ class TestConstructors:
             with pytest.raises(ValueError, match="non-finite"):
                 StiffTensor4(mat)
 
+    def test_keyword_construction_keeps_read_only_copies(self):
+        source = np.eye(3)
+        e, c = SymTensor2(mandel=source[0]), StiffTensor4(mandel_matrix=source)
+        source[0, 0] = 5.0
+        assert e.mandel[0] == c.mandel_matrix[0, 0] == 1.0
+        assert not e.mandel.flags.writeable and not c.mandel_matrix.flags.writeable
+
     def test_basis_tensors(self):
         for k in range(3):
             b = SymTensor2.basis(k)

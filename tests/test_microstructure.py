@@ -183,6 +183,17 @@ class TestFieldValidation:
         with pytest.raises(ValueError, match="unknown phase"):
             CoefficientField(np.array([[0, 7], [0, 0]]), table)
 
+    @pytest.mark.parametrize("shape, message", [((2, 3), "N x N"), ((4,), "N x N"), ((1, 1), "N >= 2")])
+    def test_map_not_square_or_below_two_points_rejected(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            CoefficientField(phase_map=np.zeros(shape, dtype=int), table=PhaseTable({0: scalar_phase(1.0)}))
+
+    def test_keyword_construction_keeps_a_read_only_copy_of_the_map(self):
+        pm = np.zeros((2, 2), dtype=int)
+        f = CoefficientField(phase_map=pm, table=PhaseTable(phases={0: scalar_phase(1.0)}))
+        pm[0, 0] = 7
+        assert f.phase_map[0, 0] == 0 and not f.phase_map.flags.writeable
+
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
