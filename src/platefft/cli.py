@@ -410,9 +410,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _join_points(argv: list[str]) -> list[str]:
+    """argv with each `--y` that a `-`-leading token follows joined to it as `--y=<token>`.
+
+    argparse takes only plain negative numbers as values, so it would read a separate `-0.75,0.5` as an option.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] == "--y" and token.startswith("-") and not token.startswith("--"):
+            joined[-1] = f"--y={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_join_points(sys.argv[1:] if argv is None else argv))
         return args.run(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,8 @@ frequency is annihilated (zero-mean convention).
 
 One kernel, _gamma_multiply, forms s = n . P_hat . n and its projection; its one
 parameter is the mode set, a 1/|n|^4 table of FrequencyGrid, 0 off the set.
-inv_norm4 holds the resolved modes, for Gamma and the fixed point: on even N it
+inv_norm4 holds the resolved modes, for Gamma, the fixed point and the preconditioner
+of conjugate gradients: on even N it
 drops the Nyquist rows (a component equal to -N/2), where -N/2 and +N/2 alias to
 one stored mode, which makes the odd (shear-coupling) part of the symbol
 ill-defined and, if kept, injects spurious eigenmodes above the physical
@@ -86,7 +87,7 @@ def _dyad(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
 class FrequencyGrid:
     """Integer DFT frequencies for an N x N grid (the lattice dimension d must be 2), with cached symbol arrays.
 
-    inv_norm4 is 1/|n|^4 on the resolved modes (no Nyquist rows on even N), for Gamma and the fixed point;
+    inv_norm4 is 1/|n|^4 on the resolved modes (no Nyquist rows on even N), for Gamma and the solvers;
     inv_norm4_all is 1/|n|^4 on every nonzero mode, for weyl_decompose and build_skew_potential; both 0 elsewhere.
     """
 
@@ -202,30 +203,26 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1 
 _worker = None  # the one-thread executor of the first halves, created by the first split
 
 
-class GreenOperator:
-    """The Green operator of one reference lam0 on real component-major (M, N, N) fields, in buffers its caller owns.
+class HalfSpectrum:
+    """Real component-major (M, N, N) fields and their rfft2 half spectrum, in buffers its caller owns.
 
-    It works on the rfft2 half spectrum over the last two axes, shape (M, N, N//2 + 1):
-    column j holds n2 = j, and n2 = -j is left implicit as its conjugate.  On even grids
-    the last column is the Nyquist column (+N/2 here, -N/2 in fftn), inactive either way.
+    The half spectrum over the last two axes has shape (M, N, N//2 + 1): column j holds n2 = j, and
+    n2 = -j is left implicit as its conjugate.  On even grids the last column is the Nyquist column
+    (+N/2 here, -N/2 in fftn), inactive either way.  Holds mandel(n (x) n) and the Parseval weights of
+    the active modes, the tables every scheme needs; GreenOperator adds those of Gamma.
     With _CPUS >= 2 and N >= _SPLIT_MIN_N (no setting), each pass runs on two halves of its independent
     rows or columns, one on a worker thread; bit-identical to one core, as under `taskset -c 0`.
     """
 
-    def __init__(self, grid: FrequencyGrid, lambda0: float):
-        scale = _gamma_scale(lambda0)
+    def __init__(self, grid: FrequencyGrid):
         self.n = grid.n
         self.split = grid.n >= _SPLIT_MIN_N and _CPUS >= 2
         half = np.s_[:, : grid.n // 2 + 1]
         self.nn = np.ascontiguousarray(np.moveaxis(grid.mandel_nn[half], -1, 0))
-        self.nn_scale = self.nn * (grid.inv_norm4[half] * scale)
         # Parseval multiplicity of the active modes: 1 in the columns that hold
         # their own conjugates (column 0; column N/2 of even grids), 2 elsewhere
         col = np.arange(grid.n // 2 + 1)
         self.weights = np.where((col == 0) | (2 * col == grid.n), 1.0, 2.0) * (grid.inv_norm4[half] > 0)
-        # |(Gamma P)^| = |nn s| / (lam0 |n|^4) = |s| / (lam0 |n|^2): |amp s| is the mode's part of Gamma P's RMS
-        # (Parseval); rms() scales s before squaring, as s^2 and (lam0 N^2)^2 overflow where Gamma P does not
-        self.amp = np.sqrt(self.weights * grid.inv_norm4[half]) / lambda0 / grid.n**2
 
     def halves(self, fn, length: int) -> None:
         """fn(lo, hi) on both halves of range(length), one on the worker in the caller's context (np.errstate), else fn(0, length)."""
@@ -252,14 +249,13 @@ class GreenOperator:
         self.halves(lambda lo, hi: np.fft.ifft(coeffs[..., lo:hi], axis=-2, out=coeffs[..., lo:hi]), self.n // 2 + 1)
         self.halves(lambda lo, hi: np.fft.irfft(coeffs[:, lo:hi], n=self.n, axis=-1, out=out[:, lo:hi]), self.n)
 
-    def apply(self, coeffs: np.ndarray, s: np.ndarray) -> None:
-        """Gamma * P's half spectrum in place of P's (coeffs), and the scalars s = n . P_hat . n into s, shape (N, N//2 + 1)."""
-        self.halves(lambda lo, hi: _gamma_multiply(*(a[:, lo:hi] for a in (coeffs, self.nn, self.nn_scale, coeffs)), s[lo:hi]), self.n)
+    def potential(self, w: np.ndarray, out: np.ndarray) -> None:
+        """Half spectrum nn w of the curvature of a scalar potential w, shape (N, N//2 + 1), into out."""
+        self.halves(lambda lo, hi: np.multiply(self.nn[:, lo:hi], w[lo:hi], out=out[:, lo:hi]), self.n)
 
-    def rms(self, s: np.ndarray) -> float:
-        """RMS of the real field Gamma * P, from its scalars s = n . P_hat . n: sqrt(sum over active n of |amp s|^2)."""
-        a = (self.amp * s).view(float)  # real and imaginary parts, interleaved
-        return math.sqrt(float(np.einsum("xy,xy->", a, a)))
+    def contract(self, coeffs: np.ndarray, s: np.ndarray) -> None:
+        """s = n . P_hat . n of a half spectrum coeffs into s, shape (N, N//2 + 1), which may be coeffs[0]."""
+        self.halves(lambda lo, hi: _contract(coeffs[:, lo:hi], self.nn[:, lo:hi], s[lo:hi]), self.n)
 
     def equilibrium_residual(self, ds: np.ndarray, j0: np.ndarray) -> float:
         """sqrt(sum over active n of |n.J_hat.n|^2) / |J_hat(0)|, from ds = +-n.J_hat.n and j0 = J_hat(0)."""
@@ -268,6 +264,28 @@ class GreenOperator:
         if den == 0.0:
             return 0.0 if num == 0.0 else math.inf
         return num / den
+
+
+class GreenOperator(HalfSpectrum):
+    """The Green operator of one reference lam0 on the half spectrum: HalfSpectrum with Gamma's tables."""
+
+    def __init__(self, grid: FrequencyGrid, lambda0: float):
+        scale = _gamma_scale(lambda0)
+        super().__init__(grid)
+        half = np.s_[:, : grid.n // 2 + 1]
+        self.nn_scale = self.nn * (grid.inv_norm4[half] * scale)
+        # |(Gamma P)^| = |nn s| / (lam0 |n|^4) = |s| / (lam0 |n|^2): |amp s| is the mode's part of Gamma P's RMS
+        # (Parseval); rms() scales s before squaring, as s^2 and (lam0 N^2)^2 overflow where Gamma P does not
+        self.amp = np.sqrt(self.weights * grid.inv_norm4[half]) / lambda0 / grid.n**2
+
+    def apply(self, coeffs: np.ndarray, s: np.ndarray) -> None:
+        """Gamma * P's half spectrum in place of P's (coeffs), and the scalars s = n . P_hat . n into s, shape (N, N//2 + 1)."""
+        self.halves(lambda lo, hi: _gamma_multiply(*(a[:, lo:hi] for a in (coeffs, self.nn, self.nn_scale, coeffs)), s[lo:hi]), self.n)
+
+    def rms(self, s: np.ndarray) -> float:
+        """RMS of the real field Gamma * P, from its scalars s = n . P_hat . n: sqrt(sum over active n of |amp s|^2)."""
+        a = (self.amp * s).view(float)  # real and imaginary parts, interleaved
+        return math.sqrt(float(np.einsum("xy,xy->", a, a)))
 
 
 def weyl_decompose(field: SpectralField) -> tuple[SpectralField, SpectralField, SymTensor2]:

@@ -395,6 +395,16 @@ class TestGreenCommand:
     def test_bad_point_exits_1(self):
         assert run("green", "--y", "0,0,1", "--cutoff", "1") == 1
 
+    def test_negative_first_coordinate_as_separate_argument(self, capsys):
+        # argparse alone reads a separate "-0.75,0.5" as an option and exits 1
+        values = []
+        for y in ("-0.75,0.5", "0.25,0.5"):
+            assert run("green", "--y", y, "--cutoff", "2") == 0
+            values.append(capsys.readouterr().out.splitlines()[-1])
+        assert values[0] == values[1]
+        assert run_rejected(capsys, "green", "--y", "-x,0", "--cutoff", "2").startswith("error: bad evaluation point")
+        assert run_rejected(capsys, "green", "--y", "-inf,0", "--cutoff", "2").startswith("error: evaluation point must")
+
     @pytest.mark.parametrize("y", ["nan,0", "0.25,inf", "-inf,0.5"])
     def test_nonfinite_point_exits_1(self, capsys, y):
         run_rejected(capsys, "green", "--y", y, "--cutoff", "8")

@@ -572,8 +572,12 @@ class TestGreenOperator:
             p_hat0 = step(x, s)
             op = step.green
             x_hat = forward(op, x)
+            potential = np.full(x_hat.shape, np.nan, dtype=complex)
+            op.potential(x_hat[0], potential)  # the passes conjugate gradients adds
+            contraction = np.full(s.shape, np.nan, dtype=complex)
+            op.contract(x_hat, contraction)
             inverses = [inverse(op, step.spec), inverse(op, x_hat)]
-            results.append([step.p, p_hat0, step.spec, s, x_hat, *apply(op, x_hat), *inverses])
+            results.append([step.p, p_hat0, step.spec, s, x_hat, *apply(op, x_hat), potential, contraction, *inverses])
         for unsplit, split in zip(*results):
             assert not np.isnan(split).any() and not np.isnan(unsplit).any()
             assert split.dtype == unsplit.dtype and split.tobytes() == unsplit.tobytes()

@@ -70,6 +70,10 @@ class TestLaminate:
         with pytest.raises(ValueError, match="N >= 2"):
             generate_laminate(scalar_phase(1.0), scalar_phase(2.0), 0.5, 0, 1)
 
+    def test_axis_outside_the_plane_rejected(self):
+        with pytest.raises(ValueError, match="axis must be 0 or 1, got 2"):
+            generate_laminate(scalar_phase(1.0), scalar_phase(2.0), 0.5, 2, 4)
+
     def test_volume_fraction_exact(self):
         f = generate_laminate(scalar_phase(1.0), scalar_phase(2.0), 0.25, 0, 8)
         assert f.volume_fractions() == {0: 0.25, 1: 0.75}

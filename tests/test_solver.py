@@ -5,12 +5,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import platefft
 from platefft import green
-from platefft.green import SpectralField, gamma_apply
+from platefft.green import FrequencyGrid, SpectralField, gamma_apply
 from platefft.mandel import StiffTensor4, SymTensor2, trace_dyad
 from platefft.microstructure import (
+    CoefficientField,
+    PhaseTable,
     generate_chessboard,
     generate_inclusion,
     generate_laminate,
@@ -165,13 +169,20 @@ def solve(field, e0, strategy="arithmetic", lambda0=None, tol=1e-10, max_iter=50
     return solve_cell(field, ref, config)
 
 
+def solve_fixed_point(field, e0, **kwargs):
+    """The fixed point at the arithmetic lam0: the manual rule runs it, and solve_cell reads only lam0 and the rule."""
+    return solve(field, e0, "manual", select_reference(field, "arithmetic").lambda0, **kwargs)
+
+
 class TestSolveCell:
     def test_homogeneous_converges_first_iteration(self):
         f = generate_inclusion(2.0 * ID, 2.0 * ID, 0.25, 16)
-        s = solve(f, [1.0, -0.5, 2.0])
-        assert s.converged and s.iterations == 1
-        assert np.array_equal(s.curvature, np.broadcast_to([1.0, -0.5, 2.0], (16, 16, 3)))
-        assert s.final_residual == 0.0
+        for s in (solve_fixed_point(f, [1.0, -0.5, 2.0]), solve(f, [1.0, -0.5, 2.0])):
+            assert s.converged and s.iterations == 1
+            assert np.array_equal(s.curvature, np.broadcast_to([1.0, -0.5, 2.0], (16, 16, 3)))
+            assert s.final_residual == 0.0
+            assert s.history.residuals == [0.0] and s.history.deltas == [0.0]
+            assert s.energy == s.history.energies[0] == pytest.approx(2.0 * (1.0 + 0.25 + 4.0), rel=1e-15)
 
     def test_zero_load_returns_zero_solution(self):
         f = generate_chessboard(1.0 * ID, 3.0 * ID, 8)
@@ -201,9 +212,11 @@ class TestSolveCell:
         config = SolverConfig(e0=SymTensor2(np.array([1.0, 0.5, 0.25])), tolerance=1e-300, max_iterations=3)
 
         def outcome():
-            s = solve_cell(f, ref, config)
-            rho = estimate_spectral_radius(f, ref, 10, seed=5)
-            return s.curvature.tobytes(), s.moment.tobytes(), s.history, s.energy, rho
+            out = []
+            for rule in (ref, select_reference(f, "manual", ref.lambda0)):  # CG, then the fixed point
+                s = solve_cell(f, rule, config)
+                out += [s.curvature.tobytes(), s.moment.tobytes(), s.history, s.energy]
+            return out, estimate_spectral_radius(f, ref, 10, seed=5)
 
         split = outcome()
         monkeypatch.setattr(green, "_SPLIT_MIN_N", n + 1)
@@ -234,7 +247,7 @@ class TestSolveCell:
 
     def test_chessboard_residual_ratio_below_bound(self):
         f = generate_chessboard(1.0 * ID, 3.0 * ID, 32)
-        s = solve(f, [1.0, 0.0, 0.0], tol=1e-10)
+        s = solve_fixed_point(f, [1.0, 0.0, 0.0], tol=1e-10)
         assert s.converged
         res = s.history.residuals
         tail = [res[i + 1] / res[i] for i in range(max(0, len(res) - 11), len(res) - 1)]
@@ -244,7 +257,7 @@ class TestSolveCell:
         f = generate_chessboard(1.0 * ID, 3.0 * ID, 16)
         ref = select_reference(f, "arithmetic")
         rho = estimate_spectral_radius(f, ref, 40, seed=11)
-        s = solve(f, [0.3, 1.0, 0.4], tol=1e-11)
+        s = solve_fixed_point(f, [0.3, 1.0, 0.4], tol=1e-11)
         res = s.history.residuals
         for i in range(10, len(res) - 1):
             assert res[i + 1] <= res[i] * (rho + 0.1)
@@ -254,7 +267,7 @@ class TestSolveCell:
         n = f.n
         ref = select_reference(f, "arithmetic")
         e0 = np.array([1.0, -0.2, 0.7])
-        s = solve(f, e0, tol=1e-300, max_iter=2)
+        s = solve_fixed_point(f, e0, tol=1e-300, max_iter=2)
 
         c0 = ref.lambda0 * trace_dyad()
         dc = f.mandel_grid() - c0
@@ -351,6 +364,99 @@ class TestSolveCell:
         assert s1.converged and s2.converged
         predicted = np.rot90(rot_mandel(s1.curvature), k=1, axes=(0, 1))
         np.testing.assert_allclose(s2.curvature, predicted, rtol=0, atol=1e-8)
+
+
+@st.composite
+def anisotropic_cells(draw):
+    """Fields of N in 3..16 (odd and even) with 2-3 random anisotropic phases, eigenvalues in [1, 100]."""
+    n = draw(st.integers(3, 16))
+    phases = {}
+    for k in range(draw(st.integers(2, 3))):
+        eig = draw(st.lists(st.floats(1.0, 100.0), min_size=3, max_size=3))
+        q, _ = np.linalg.qr(np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))).reshape(3, 3))
+        phases[k] = StiffTensor4(q @ np.diag(eig) @ q.T)
+    ids = draw(st.lists(st.integers(0, len(phases) - 1), min_size=n * n, max_size=n * n))
+    e0 = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda v: max(map(abs, v)) > 0.1))
+    return CoefficientField(np.array(ids).reshape(n, n), PhaseTable(phases)), np.array(e0)
+
+
+def recomputed_residual(moment):
+    """The equilibrium residual of a returned (N, N, M) moment field, from its full fftn spectrum."""
+    grid = FrequencyGrid(2, moment.shape[0])
+    j_hat = np.fft.fftn(moment, axes=(0, 1))
+    s = (grid.mandel_nn * j_hat).sum(axis=-1)
+    return math.sqrt(float((np.abs(s) ** 2)[grid.inv_norm4 > 0].sum())) / float(np.linalg.norm(j_hat[0, 0]))
+
+
+class TestConjugateGradients:
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_stable_below_the_rounding_floor(self, n):
+        # FFT rounding leaves column 0 of the half spectrum slightly off conjugate symmetry, a part that CG cannot
+        # reduce; kept in r, it made the residual climb from 1e-14 back to 1e2 within 150 iterations
+        f = generate_inclusion(1.0 * ID, 10.0 * ID, 0.3, n)
+        s = solve(f, [1.0, 0.5, 0.25], tol=1e-300, max_iter=150)
+        assert s.iterations == 150 and s.history.residuals[-1] <= 1e-14 and s.final_residual <= 1e-13
+        assert all(b <= a for a, b in zip(s.history.energies, s.history.energies[1:]))
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-15])
+    def test_reported_residual_is_the_returned_fields(self, tol):
+        # The loop's recursive residual falls below 1e-15 here, while the fields' own stays near 3e-13 (rounding):
+        # the solve reports the fields' residual, and is converged only if that meets the tolerance
+        f = generate_inclusion(1.0 * ID, 10.0 * ID, 0.3, 64)
+        s = solve(f, [1.0, 0.5, 0.25], tol=tol, max_iter=1000)
+        recomputed = recomputed_residual(s.moment)
+        assert s.final_residual == s.history.residuals[-1] == pytest.approx(recomputed, rel=0.05)
+        assert s.converged == (recomputed <= tol) == (tol == 1e-10)
+        assert s.iterations < 1000  # at the rounding floor the loop ends, rather than spend its budget
+        np.testing.assert_allclose(s.mean_moment.mandel, s.moment.mean(axis=(0, 1)), rtol=1e-14)
+
+    def test_underflowing_inner_product_ends_the_loop(self):
+        # at tolerance 1e-300 the recursive residual falls to about 1e-162, where <r, z> underflows to 0: the loop
+        # ends there with no 0/0 and no warning, unconverged, and reports the fields' residual, not the recursive one
+        f = generate_inclusion(1.0 * ID, 3.0 * ID, 0.3, 8)
+        s = solve(f, [1.0, 0.5, 0.0], tol=1e-300, max_iter=1000)
+        assert s.iterations < 1000 and not s.converged
+        assert s.history.residuals[-1] < 1e-150 < s.final_residual == pytest.approx(recomputed_residual(s.moment), rel=0.05)
+        assert np.isfinite(s.history.energies).all() and np.isfinite(s.curvature).all()
+
+    @pytest.mark.parametrize("exponent", [-532, 500])
+    def test_loads_far_from_one_solve_as_the_unit_load_scaled(self, exponent):
+        # unscaled, <r, z> of a load near 1e-160 underflows to 0 and ends the loop; the solve is linear in E0, so a
+        # load that is a power of two times another has exactly the scaled fields and the same residuals
+        f = generate_inclusion(1.0 * ID, 3.0 * ID, 0.3, 8)
+        unit, scaled = solve(f, [1.0, -0.5, 0.25], tol=1e-14), solve(f, np.ldexp([1.0, -0.5, 0.25], exponent), tol=1e-14)
+        assert scaled.converged and scaled.history.residuals == unit.history.residuals
+        assert np.array_equal(scaled.curvature, np.ldexp(unit.curvature, exponent))
+        assert np.array_equal(scaled.moment, np.ldexp(unit.moment, exponent))
+        assert scaled.history.deltas == [math.ldexp(d, exponent) for d in unit.history.deltas]
+        assert scaled.energy == pytest.approx(math.ldexp(unit.energy, 2 * exponent), rel=2e-3)  # subnormal at -532
+
+    @pytest.mark.parametrize("e0, stiffness", [(5e-324, 1e300), (1e300, 1e-300)], ids=["tiny-on-stiff", "huge-on-soft"])
+    def test_extreme_load_and_stiffness_converge(self, e0, stiffness):
+        # E0.<C>E0 is near 1e-24 and 1e300: in range, though C:E0 or E0 alone is near an end of it
+        f = generate_inclusion(stiffness * ID, 3.0 * stiffness * ID, 0.3, 8)
+        s = solve(f, [e0, 0.0, 0.0], tol=1e-14, max_iter=200)
+        assert s.converged and s.iterations < 200
+        assert np.isfinite(s.history.energies).all() and np.isfinite(s.curvature).all()
+
+    @settings(deadline=None, derandomize=True, max_examples=20)
+    @given(anisotropic_cells())
+    def test_agrees_with_fixed_point(self, case):
+        # the same mean moment to a small multiple of the tolerance, an energy that never rises, and a
+        # residual of the returned moment, recomputed from its full spectrum, within twice the tolerance and
+        # within 10 % of the residual CG reported
+        field, e0 = case
+        tol = 1e-8
+        fixed = solve_fixed_point(field, e0, tol=tol)
+        cg = solve(field, e0, tol=tol)
+        assert fixed.converged and cg.converged
+        scale = np.abs(fixed.mean_moment.mandel).max()
+        assert np.abs(cg.mean_moment.mandel - fixed.mean_moment.mandel).max() <= 10 * tol * scale
+        energies = cg.history.energies
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
+        recomputed = recomputed_residual(cg.moment)
+        assert recomputed <= 2 * tol
+        assert abs(recomputed - cg.final_residual) <= 0.1 * (cg.final_residual + 1e-13)
 
 
 class TestReferenceStrategiesHighContrast:
