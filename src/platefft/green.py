@@ -146,24 +146,29 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
     return float(total) / a.n**4
 
 
-def _contract(coeffs: np.ndarray, nn: np.ndarray, s: np.ndarray) -> None:
-    """s = n.P_hat.n into s, from an (M, ...) spectrum and nn = mandel(n (x) n); build_skew_potential's check runs it alone."""
+def _contract(coeffs: np.ndarray, nn, s: np.ndarray) -> None:
+    """s = n.P_hat.n into s, from an (M, ...) spectrum and the M planes nn of mandel(n (x) n); build_skew_potential's check runs it alone."""
     np.multiply(nn[0], coeffs[0], out=s)
     s += nn[1] * coeffs[1]
     s += nn[2] * coeffs[2]
 
 
-def _gamma_multiply(coeffs: np.ndarray, nn: np.ndarray, nn_scale: np.ndarray, gamma_hat: np.ndarray, s: np.ndarray) -> None:
-    """s = n.P_hat.n, then nn_scale * s into gamma_hat, which may be coeffs, on (M, ...) spectra; nn_scale = c nn/|n|^4 on a mode set, 0 off it."""
+def _gamma_multiply(coeffs: np.ndarray, nn, table: np.ndarray, gamma_hat: np.ndarray, s: np.ndarray) -> None:
+    """s = n.P_hat.n, then (nn table) s into gamma_hat, which may be coeffs, on (M, ...) spectra; table = c/|n|^4 on a mode set, 0 off it.
+
+    Each plane nn_a table is formed in gamma_hat's plane and multiplied by s in place: numpy multiplies a float
+    by a complex as (x + 0j) s, so the bits are those of the float plane times s.
+    """
     _contract(coeffs, nn, s)
-    np.multiply(nn_scale, s, out=gamma_hat)
+    for a in range(M):
+        np.multiply(nn[a], table, out=gamma_hat[a])
+        gamma_hat[a] *= s
 
 
 def _project(coeffs: np.ndarray, grid: FrequencyGrid, inv_norm4: np.ndarray, c: float) -> np.ndarray:
     """_gamma_multiply on a full (N, N, M) spectrum: c nn s / |n|^4 on the modes of the table inv_norm4, s = n.P_hat.n."""
-    nn = np.moveaxis(grid.mandel_nn, -1, 0)
     out, s = np.empty(coeffs.shape, dtype=complex), np.empty(coeffs.shape[:-1], dtype=complex)
-    _gamma_multiply(np.moveaxis(coeffs, -1, 0), nn, nn * (inv_norm4 * c), np.moveaxis(out, -1, 0), s)
+    _gamma_multiply(np.moveaxis(coeffs, -1, 0), np.moveaxis(grid.mandel_nn, -1, 0), inv_norm4 * c, np.moveaxis(out, -1, 0), s)
     return out
 
 
@@ -209,7 +214,9 @@ class HalfSpectrum:
     The half spectrum over the last two axes has shape (M, N, N//2 + 1): column j holds n2 = j, and
     n2 = -j is left implicit as its conjugate.  On even grids the last column is the Nyquist column
     (+N/2 here, -N/2 in fftn), inactive either way.  Holds mandel(n (x) n) and the Parseval weights of
-    the active modes, the tables every scheme needs; GreenOperator adds those of Gamma.
+    the active modes, the tables every scheme needs; GreenOperator adds those of Gamma.  nn holds the three
+    components of mandel(n (x) n) apart: n1^2 and n2^2 as broadcast views of 1-D vectors, and one stored
+    (N, N//2 + 1) plane sqrt(2) n1 n2.
     With _CPUS >= 2 and N >= _SPLIT_MIN_N (no setting), each pass runs on two halves of its independent
     rows or columns, one on a worker thread; bit-identical to one core, as under `taskset -c 0`.
     """
@@ -218,7 +225,8 @@ class HalfSpectrum:
         self.n = grid.n
         self.split = grid.n >= _SPLIT_MIN_N and _CPUS >= 2
         half = np.s_[:, : grid.n // 2 + 1]
-        self.nn = np.ascontiguousarray(np.moveaxis(grid.mandel_nn[half], -1, 0))
+        nn, shape = grid.mandel_nn[half], grid.inv_norm4[half].shape
+        self.nn = (np.broadcast_to(nn[:, :1, 0].copy(), shape), np.broadcast_to(nn[:1, :, 1].copy(), shape), nn[..., 2].copy())
         # Parseval multiplicity of the active modes: 1 in the columns that hold
         # their own conjugates (column 0; column N/2 of even grids), 2 elsewhere
         col = np.arange(grid.n // 2 + 1)
@@ -251,11 +259,15 @@ class HalfSpectrum:
 
     def potential(self, w: np.ndarray, out: np.ndarray) -> None:
         """Half spectrum nn w of the curvature of a scalar potential w, shape (N, N//2 + 1), into out."""
-        self.halves(lambda lo, hi: np.multiply(self.nn[:, lo:hi], w[lo:hi], out=out[:, lo:hi]), self.n)
+        def rows(lo, hi):
+            for a in range(M):
+                np.multiply(self.nn[a][lo:hi], w[lo:hi], out=out[a, lo:hi])
+
+        self.halves(rows, self.n)
 
     def contract(self, coeffs: np.ndarray, s: np.ndarray) -> None:
         """s = n . P_hat . n of a half spectrum coeffs into s, shape (N, N//2 + 1), which may be coeffs[0]."""
-        self.halves(lambda lo, hi: _contract(coeffs[:, lo:hi], self.nn[:, lo:hi], s[lo:hi]), self.n)
+        self.halves(lambda lo, hi: _contract(coeffs[:, lo:hi], [a[lo:hi] for a in self.nn], s[lo:hi]), self.n)
 
     def equilibrium_residual(self, ds: np.ndarray, j0: np.ndarray) -> float:
         """sqrt(sum over active n of |n.J_hat.n|^2) / |J_hat(0)|, from ds = +-n.J_hat.n and j0 = J_hat(0)."""
@@ -267,20 +279,24 @@ class HalfSpectrum:
 
 
 class GreenOperator(HalfSpectrum):
-    """The Green operator of one reference lam0 on the half spectrum: HalfSpectrum with Gamma's tables."""
+    """The Green operator of one reference lam0 on the half spectrum: HalfSpectrum with Gamma's tables.
+
+    table is -1/(lam0 |n|^4) on the active modes and 0 elsewhere, one (N, N//2 + 1) plane; apply forms nn_a table
+    in each output plane.
+    """
 
     def __init__(self, grid: FrequencyGrid, lambda0: float):
         scale = _gamma_scale(lambda0)
         super().__init__(grid)
         half = np.s_[:, : grid.n // 2 + 1]
-        self.nn_scale = self.nn * (grid.inv_norm4[half] * scale)
+        self.table = grid.inv_norm4[half] * scale
         # |(Gamma P)^| = |nn s| / (lam0 |n|^4) = |s| / (lam0 |n|^2): |amp s| is the mode's part of Gamma P's RMS
         # (Parseval); rms() scales s before squaring, as s^2 and (lam0 N^2)^2 overflow where Gamma P does not
         self.amp = np.sqrt(self.weights * grid.inv_norm4[half]) / lambda0 / grid.n**2
 
     def apply(self, coeffs: np.ndarray, s: np.ndarray) -> None:
         """Gamma * P's half spectrum in place of P's (coeffs), and the scalars s = n . P_hat . n into s, shape (N, N//2 + 1)."""
-        self.halves(lambda lo, hi: _gamma_multiply(*(a[:, lo:hi] for a in (coeffs, self.nn, self.nn_scale, coeffs)), s[lo:hi]), self.n)
+        self.halves(lambda lo, hi: _gamma_multiply(coeffs[:, lo:hi], [a[lo:hi] for a in self.nn], self.table[lo:hi], coeffs[:, lo:hi], s[lo:hi]), self.n)
 
     def rms(self, s: np.ndarray) -> float:
         """RMS of the real field Gamma * P, from its scalars s = n . P_hat . n: sqrt(sum over active n of |amp s|^2)."""

@@ -18,6 +18,13 @@ SQRT2 = float(np.sqrt(2.0))
 _PAIRS = ((0, 0), (1, 1), (0, 1))
 M = len(_PAIRS)
 
+# A grid of symmetric M x M matrices stores each distinct entry once: plane PLANES[a, b] = PLANES[b, a] holds
+# entry (a, b), and the planes run over the upper triangle UPPER row by row.
+UPPER = np.triu_indices(M)
+PLANES = np.empty((M, M), dtype=int)
+PLANES[UPPER] = PLANES[UPPER[::-1]] = np.arange(len(UPPER[0]))
+PLANES.flags.writeable = False
+
 
 class SingularTensorError(ValueError):
     """Raised when a stiffness tensor has no usable inverse."""

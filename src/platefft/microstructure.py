@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .fieldio import FLOAT_FMT, _read_sizes
-from .mandel import M, StiffTensor4
+from .mandel import M, UPPER, StiffTensor4
 
 _FRACTION_TOL = 1e-6
 
@@ -67,10 +67,14 @@ class CoefficientField:
         return dict(self._fractions)
 
     def mandel_grid(self) -> np.ndarray:
-        """Per-voxel Mandel matrices, shape (N, N, M, M): the transposed view of one contiguous (M, M, N, N) grid."""
+        """The distinct planes of the per-voxel Mandel matrices, one contiguous (6, N, N) array.
+
+        The phases' matrices are symmetric, so plane mandel.PLANES[a, b] holds C_ab = C_ba of every voxel;
+        the planes follow mandel.UPPER, the upper triangle row by row.
+        """
         ids = np.array(sorted(self.table.phases))
-        mats = np.stack([self.table.phases[pid].mandel_matrix for pid in ids], axis=-1)
-        return np.take(mats, np.searchsorted(ids, self.phase_map), axis=-1).transpose(2, 3, 0, 1)
+        entries = np.stack([self.table.phases[pid].mandel_matrix[UPPER] for pid in ids], axis=-1)
+        return np.take(entries, np.searchsorted(ids, self.phase_map), axis=-1)
 
     def eigen_range(self) -> tuple[float, float]:
         """(mu_min, mu_max) over all voxels and all Mandel eigenvalues."""

@@ -20,7 +20,8 @@ An iteration costs two real FFTs and Gamma's one contraction s = n . p_hat . n o
 p = dC:E.  As n . J_hat_{k+1} . n = s_{k+1} - s_k on the active modes, the residual
 comes from Gamma's scalars; so do delta, the RMS of E_k - E_{k-1} = Gamma (p_{k-1} - p_{k-2}),
 and the power iteration's ratio |B x|, as Gamma's output on a mode has size |s| / (lam0 |n|^2)
-(GreenOperator.rms).  The loop holds one (M, N, N) iterate, an (M, M, N, N) dC and the step's buffers.
+(GreenOperator.rms).  The loop holds one (M, N, N) iterate, the six distinct (N, N) planes of the symmetric dC
+(CoefficientField.mandel_grid) and the step's buffers.
 
 The fixed point is Richardson iteration preconditioned by the reference medium; conjugate gradients
 with the same preconditioner (_ConjugateGradientStep) reach the same solution in far fewer iterations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .green import FrequencyGrid, GreenOperator, HalfSpectrum, _gamma_scale
-from .mandel import M, SymTensor2, trace_dyad
+from .mandel import M, PLANES, SymTensor2, trace_dyad
 from .microstructure import CoefficientField
 
 STRATEGIES = ("arithmetic", "geometric", "manual")
@@ -173,23 +174,44 @@ def apriori_bound(field: CoefficientField, ref: ReferenceMedium) -> float:
     return series_factor(q / ref.lambda0)
 
 
+def _stiffness_product(c: np.ndarray, x: np.ndarray, out: np.ndarray, spec: np.ndarray, lo: int, hi: int) -> None:
+    """out = C:x on the rows lo:hi of (M, N, N) fields, for the planes c of a symmetric C (CoefficientField.mandel_grid).
+
+    The products pass through rows lo:hi of spec's storage as real (N, N) scratch, so spec must be free, and two
+    halves of the rows may run at once.  out_a sums c_a0 x_0, c_a1 x_1 and c_a2 x_2 in that order, as
+    np.einsum("abxy,bxy->axy") does over the full (M, M, N, N) grid, with its bits: einsum starts each sum
+    from +0.0, which turns a sum of three -0.0 into +0.0, and so does the final += 0.0.
+    """
+    n = x.shape[-1]
+    scratch = spec.reshape(-1).view(float)[lo * n : hi * n].reshape(hi - lo, n)
+    x, out = x[:, lo:hi], out[:, lo:hi]
+    for a, planes in enumerate(PLANES):
+        np.multiply(c[planes[0], lo:hi], x[0], out=out[a])
+        for b in range(1, M):
+            np.multiply(c[planes[b], lo:hi], x[b], out=scratch)
+            out[a] += scratch
+    out += 0.0
+
+
 class _NeumannStep:
     """B = Gamma * (dC : .), the operator of the fixed point, for one field and lam0.
 
-    Built once per solve: dC = C - C0, mandel_grid's contiguous (M, M, N, N) grid less lam0 on its diagonal, is the only
-    coefficient grid, and the Green operator holds its scale with the inactive modes zeroed; every call rewrites p and spec.
+    Built once per solve: dC = C - C0, mandel_grid's six planes with lam0 taken off the three diagonal ones in place, is
+    the only coefficient grid, and the Green operator holds its scale with the inactive modes zeroed; every call
+    rewrites p and spec.
     """
 
     def __init__(self, field: CoefficientField, lambda0: float):
-        self.dc = field.mandel_grid().transpose(2, 3, 0, 1)
-        self.dc[np.diag_indices(M)] -= lambda0
+        self.dc = field.mandel_grid()
+        for a in range(M):
+            self.dc[PLANES[a, a]] -= lambda0
         self.lam = lambda0
         self.green = GreenOperator(FrequencyGrid(2, field.n), lambda0)
         self.p, self.spec = np.empty((M, field.n, field.n)), np.empty((M, field.n, field.n // 2 + 1), dtype=complex)
 
     def __call__(self, e: np.ndarray, s: np.ndarray) -> np.ndarray:
         """p = dC:E, Gamma's output in spec and its scalars in s; returns a copy of p_hat(0), which Gamma zeroes."""
-        self.green.halves(lambda lo, hi: np.einsum("abxy,bxy->axy", self.dc[:, :, lo:hi], e[:, lo:hi], out=self.p[:, lo:hi]), self.green.n)
+        self.green.halves(lambda lo, hi: _stiffness_product(self.dc, e, self.p, self.spec, lo, hi), self.green.n)
         self.green.forward(self.p, self.spec)
         p_hat0 = self.spec[:, 0, 0].copy()
         self.green.apply(self.spec, s)
@@ -228,8 +250,8 @@ class _ConjugateGradientStep:
     fixed point's vectors are, for coefficients near the ends of the float range.  One iteration is one
     application of A: nn d into spec, the inverse pass, C:X, the forward pass and n.q_hat.n.
     Inner products sum the half spectrum with its Parseval multiplicities, by einsum on the calling thread.
-    Built once per solve: C is mandel_grid's grid itself, and the step holds the half-spectrum vectors
-    w_hat, r and d; spec's planes hold q and z in turn.
+    Built once per solve: C is mandel_grid's six planes themselves, and the step holds the half-spectrum vectors
+    w_hat, r and d; spec's planes hold q and z in turn, and the products of C:X while it is free.
 
     The loop updates r and J_hat(0) by recursion, which rounding parts from the fields' own below about
     1e-12; so once the recursive residual meets the tolerance, _settle forms the fields and their residual,
@@ -241,7 +263,7 @@ class _ConjugateGradientStep:
 
     def __init__(self, field: CoefficientField, lambda0: float, tolerance: float):
         n = field.n
-        self.c = field.mandel_grid().transpose(2, 3, 0, 1)
+        self.c = field.mandel_grid()
         grid = FrequencyGrid(2, n)
         self.half = HalfSpectrum(grid)
         self.precondition = grid.inv_norm4[:, : n // 2 + 1] / lambda0
@@ -251,7 +273,7 @@ class _ConjugateGradientStep:
 
     def _moment(self) -> None:
         """p = C:x."""
-        self.half.halves(lambda lo, hi: np.einsum("abxy,bxy->axy", self.c[:, :, lo:hi], self.x[:, lo:hi], out=self.p[:, lo:hi]), self.half.n)
+        self.half.halves(lambda lo, hi: _stiffness_product(self.c, self.x, self.p, self.spec, lo, hi), self.half.n)
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Re sum over the full spectrum of conj(a) b, for half spectra a and b of real fields, one of them 0 off the active modes.

@@ -22,7 +22,7 @@ from platefft.green import (
 )
 from platefft.mandel import SQRT2, StiffTensor4, identity_vector, sym_to_mandel
 from platefft.microstructure import generate_inclusion
-from platefft.solver import _NeumannStep
+from platefft.solver import _ConjugateGradientStep, _NeumannStep
 
 TWO_PI = 2.0 * np.pi
 
@@ -554,6 +554,26 @@ class TestGreenOperator:
             s = s_new
 
     @pytest.mark.parametrize("n", [8, 9])
+    def test_gamma_equals_the_three_plane_symbol_bit_for_bit(self, n):
+        # Gamma forms nn_a table in its output plane, then multiplies by s; the symbol stored as three planes
+        # nn_a (inv_norm4 (-1/lam0)), each multiplied by s, float by complex, gives the same bits, +-0 and inf included
+        rng = np.random.default_rng(1300 + n)
+        grid = FrequencyGrid(2, n)
+        op = GreenOperator(grid, 1.5)
+        shape = (3, n, n // 2 + 1)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs[:, 1] = -0.0
+        coeffs[:, 2, 0] = 0.0
+        coeffs[1, 3, 1] = complex(np.inf, -0.0)
+        got, s = coeffs.copy(), np.empty(shape[1:], dtype=complex)
+        with np.errstate(invalid="ignore"):
+            op.apply(got, s)
+            half = np.s_[:, : n // 2 + 1]
+            want = np.moveaxis(grid.mandel_nn[half], -1, 0) * (grid.inv_norm4[half] * (-1.0 / 1.5)) * s
+        assert np.isinf(s).any() and (s == 0).any()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 9])
     def test_split_passes_equal_unsplit_bit_for_bit(self, n, monkeypatch):
         # the split is forced, so a one-CPU host runs it too; odd N halves the rows and columns unevenly.
         # Every pass writes into a buffer that starts as NaN, so a row or column a half misses stays NaN.
@@ -577,7 +597,11 @@ class TestGreenOperator:
             contraction = np.full(s.shape, np.nan, dtype=complex)
             op.contract(x_hat, contraction)
             inverses = [inverse(op, step.spec), inverse(op, x_hat)]
-            results.append([step.p, p_hat0, step.spec, s, x_hat, *apply(op, x_hat), potential, contraction, *inverses])
+            cg = _ConjugateGradientStep(inclusion, 5.0, 1e-8)  # C:x, with C's planes in place of dC's
+            assert cg.half.split is split
+            cg.x, cg.p, cg.spec = x, np.full(x.shape, np.nan), np.full(step.spec.shape, np.nan, dtype=complex)
+            cg._moment()
+            results.append([step.p, p_hat0, step.spec, s, x_hat, *apply(op, x_hat), potential, contraction, *inverses, cg.p])
         for unsplit, split in zip(*results):
             assert not np.isnan(split).any() and not np.isnan(unsplit).any()
             assert split.dtype == unsplit.dtype and split.tobytes() == unsplit.tobytes()

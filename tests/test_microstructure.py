@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platefft.mandel import StiffTensor4
+from platefft.mandel import PLANES, StiffTensor4
 from platefft.microstructure import (
     CoefficientField,
     MicrostructureFormatError,
@@ -20,6 +20,11 @@ ID = StiffTensor4.identity()
 
 def scalar_phase(mu):
     return mu * ID
+
+
+def full_grid(planes):
+    """The (N, N, M, M) grid of per-voxel Mandel matrices that mandel_grid's distinct planes stand for."""
+    return planes[PLANES].transpose(2, 3, 0, 1)
 
 
 @st.composite
@@ -124,7 +129,7 @@ class TestInclusion:
 
     def test_equal_phases_is_homogeneous(self):
         f = generate_inclusion(scalar_phase(2.0), scalar_phase(2.0), 0.25, 16)
-        mats = f.mandel_grid()
+        mats = full_grid(f.mandel_grid())
         assert np.all(mats == mats[0, 0])
 
     def test_radius_bounds(self):
@@ -179,6 +184,16 @@ class TestPhaseCensus:
         f.volume_fractions()[0] = 1.0
         assert f.present_phases() == [0, 1]
         assert f.volume_fractions() == {0: 0.25, 1: 0.75}
+
+
+class TestMandelGrid:
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(random_fields())
+    def test_planes_expand_to_each_voxels_matrix(self, f):
+        planes = f.mandel_grid()
+        assert planes.shape == (6, f.n, f.n) and planes.flags.c_contiguous
+        want = np.array([[f.table.phases[pid].mandel_matrix for pid in row] for row in f.phase_map.tolist()])
+        assert full_grid(planes).shape == want.shape and full_grid(planes).tobytes() == want.tobytes()
 
 
 class TestFieldValidation:
