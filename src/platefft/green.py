@@ -20,14 +20,15 @@ mandel(n (x) n): the Green operator of lam0 * Lap^2, which both C0 = lam0 * Id
 and the paper's trace reference xi -> lam0 * Tr(xi) * I give.  The zero
 frequency is annihilated (zero-mean convention).
 
-One kernel, _gamma_multiply, forms s = n . P_hat . n and its projection; its one
-parameter is the mode set, a 1/|n|^4 table of FrequencyGrid, 0 off the set.
-inv_norm4 holds the resolved modes, for Gamma, the fixed point and the preconditioner
-of conjugate gradients: on even N it
-drops the Nyquist rows (a component equal to -N/2), where -N/2 and +N/2 alias to
-one stored mode, which makes the odd (shear-coupling) part of the symbol
-ill-defined and, if kept, injects spurious eigenmodes above the physical
-spectral radius; band-limited fields never touch them.  inv_norm4_all holds
+One kernel, _contract, forms s = n . P_hat . n.  On the full spectrum _project
+multiplies nn s by a 1/|n|^4 table of FrequencyGrid, 0 off its mode set; on the
+half spectrum the solver composes Gamma from HalfSpectrum's passes as
+potential(-s / (lam0 |n|^4)).  inv_norm4 holds the resolved modes, for Gamma and
+the solver's preconditioner: on even N it drops the Nyquist rows (a component
+equal to -N/2), where -N/2 and +N/2 alias to one stored mode, which makes the
+odd (shear-coupling) part of the symbol ill-defined and, if kept, injects
+spurious eigenmodes above the physical spectral radius; band-limited fields
+never touch them.  inv_norm4_all holds
 every nonzero mode, for weyl_decompose and build_skew_potential, so that a
 solenoidal part has n . g_hat . n = 0 on the Nyquist rows too.
 """
@@ -146,29 +147,27 @@ def l2_inner(a: SpectralField, b: SpectralField) -> float:
     return float(total) / a.n**4
 
 
-def _contract(coeffs: np.ndarray, nn, s: np.ndarray) -> None:
-    """s = n.P_hat.n into s, from an (M, ...) spectrum and the M planes nn of mandel(n (x) n); build_skew_potential's check runs it alone."""
-    np.multiply(nn[0], coeffs[0], out=s)
-    s += nn[1] * coeffs[1]
-    s += nn[2] * coeffs[2]
+def _contract(coeffs: np.ndarray, nn, s: np.ndarray, work: np.ndarray | None = None) -> None:
+    """s = n.P_hat.n into s, from an (M, ...) spectrum and the M planes nn of mandel(n (x) n); s may be coeffs[0].
 
-
-def _gamma_multiply(coeffs: np.ndarray, nn, table: np.ndarray, gamma_hat: np.ndarray, s: np.ndarray) -> None:
-    """s = n.P_hat.n, then (nn table) s into gamma_hat, which may be coeffs, on (M, ...) spectra; table = c/|n|^4 on a mode set, 0 off it.
-
-    Each plane nn_a table is formed in gamma_hat's plane and multiplied by s in place: numpy multiplies a float
-    by a complex as (x + 0j) s, so the bits are those of the float plane times s.
+    Forms nn_1 P_1 and nn_2 P_2 in the plane work or, without it, in coeffs' planes 1 and 2, which it then
+    overwrites; it allocates no plane either way.
     """
-    _contract(coeffs, nn, s)
-    for a in range(M):
-        np.multiply(nn[a], table, out=gamma_hat[a])
-        gamma_hat[a] *= s
+    np.multiply(nn[0], coeffs[0], out=s)
+    for a in (1, 2):
+        product = coeffs[a] if work is None else work
+        np.multiply(coeffs[a], nn[a], out=product)
+        s += product
 
 
 def _project(coeffs: np.ndarray, grid: FrequencyGrid, inv_norm4: np.ndarray, c: float) -> np.ndarray:
-    """_gamma_multiply on a full (N, N, M) spectrum: c nn s / |n|^4 on the modes of the table inv_norm4, s = n.P_hat.n."""
+    """c nn s / |n|^4 on the modes of the table inv_norm4, s = n.P_hat.n, of a full (N, N, M) spectrum it leaves as it is."""
     out, s = np.empty(coeffs.shape, dtype=complex), np.empty(coeffs.shape[:-1], dtype=complex)
-    _gamma_multiply(np.moveaxis(coeffs, -1, 0), np.moveaxis(grid.mandel_nn, -1, 0), inv_norm4 * c, np.moveaxis(out, -1, 0), s)
+    planes, nn, table = np.moveaxis(out, -1, 0), np.moveaxis(grid.mandel_nn, -1, 0), inv_norm4 * c
+    _contract(np.moveaxis(coeffs, -1, 0), nn, s, np.empty_like(s))
+    for a in range(M):
+        np.multiply(nn[a], table, out=planes[a])
+        planes[a] *= s
     return out
 
 
@@ -214,7 +213,8 @@ class HalfSpectrum:
     The half spectrum over the last two axes has shape (M, N, N//2 + 1): column j holds n2 = j, and
     n2 = -j is left implicit as its conjugate.  On even grids the last column is the Nyquist column
     (+N/2 here, -N/2 in fftn), inactive either way.  Holds mandel(n (x) n) and the Parseval weights of
-    the active modes, the tables every scheme needs; GreenOperator adds those of Gamma.  nn holds the three
+    the active modes.  Its passes are the ones the solver's step composes: potential (nn w), inverse,
+    forward and contract (n . P_hat . n); Gamma is potential(-contract / (lam0 |n|^4)).  nn holds the three
     components of mandel(n (x) n) apart: n1^2 and n2^2 as broadcast views of 1-D vectors, and one stored
     (N, N//2 + 1) plane sqrt(2) n1 n2.
     With _CPUS >= 2 and N >= _SPLIT_MIN_N (no setting), each pass runs on two halves of its independent
@@ -266,7 +266,10 @@ class HalfSpectrum:
         self.halves(rows, self.n)
 
     def contract(self, coeffs: np.ndarray, s: np.ndarray) -> None:
-        """s = n . P_hat . n of a half spectrum coeffs into s, shape (N, N//2 + 1), which may be coeffs[0]."""
+        """s = n . P_hat . n of a half spectrum coeffs into s, shape (N, N//2 + 1), which may be coeffs[0].
+
+        Overwrites coeffs' planes 1 and 2 with the products it sums (_contract).
+        """
         self.halves(lambda lo, hi: _contract(coeffs[:, lo:hi], [a[lo:hi] for a in self.nn], s[lo:hi]), self.n)
 
     def equilibrium_residual(self, ds: np.ndarray, j0: np.ndarray) -> float:
@@ -276,32 +279,6 @@ class HalfSpectrum:
         if den == 0.0:
             return 0.0 if num == 0.0 else math.inf
         return num / den
-
-
-class GreenOperator(HalfSpectrum):
-    """The Green operator of one reference lam0 on the half spectrum: HalfSpectrum with Gamma's tables.
-
-    table is -1/(lam0 |n|^4) on the active modes and 0 elsewhere, one (N, N//2 + 1) plane; apply forms nn_a table
-    in each output plane.
-    """
-
-    def __init__(self, grid: FrequencyGrid, lambda0: float):
-        scale = _gamma_scale(lambda0)
-        super().__init__(grid)
-        half = np.s_[:, : grid.n // 2 + 1]
-        self.table = grid.inv_norm4[half] * scale
-        # |(Gamma P)^| = |nn s| / (lam0 |n|^4) = |s| / (lam0 |n|^2): |amp s| is the mode's part of Gamma P's RMS
-        # (Parseval); rms() scales s before squaring, as s^2 and (lam0 N^2)^2 overflow where Gamma P does not
-        self.amp = np.sqrt(self.weights * grid.inv_norm4[half]) / lambda0 / grid.n**2
-
-    def apply(self, coeffs: np.ndarray, s: np.ndarray) -> None:
-        """Gamma * P's half spectrum in place of P's (coeffs), and the scalars s = n . P_hat . n into s, shape (N, N//2 + 1)."""
-        self.halves(lambda lo, hi: _gamma_multiply(coeffs[:, lo:hi], [a[lo:hi] for a in self.nn], self.table[lo:hi], coeffs[:, lo:hi], s[lo:hi]), self.n)
-
-    def rms(self, s: np.ndarray) -> float:
-        """RMS of the real field Gamma * P, from its scalars s = n . P_hat . n: sqrt(sum over active n of |amp s|^2)."""
-        a = (self.amp * s).view(float)  # real and imaginary parts, interleaved
-        return math.sqrt(float(np.einsum("xy,xy->", a, a)))
 
 
 def weyl_decompose(field: SpectralField) -> tuple[SpectralField, SpectralField, SymTensor2]:
@@ -335,7 +312,7 @@ def build_skew_potential(field: SpectralField) -> np.ndarray:
     grid = FrequencyGrid(2, field.n)
     scale = max(float(np.abs(field.coeffs).max()), 1e-300)
     contraction = np.empty(field.coeffs.shape[:-1], dtype=complex)
-    _contract(np.moveaxis(field.coeffs, -1, 0), np.moveaxis(grid.mandel_nn, -1, 0), contraction)
+    _contract(np.moveaxis(field.coeffs, -1, 0), np.moveaxis(grid.mandel_nn, -1, 0), contraction, np.empty_like(contraction))
     if (np.abs(contraction) * np.sqrt(grid.inv_norm4_all)).max() > tol * scale:
         raise ValueError("input is not solenoidal: n . g_hat(n) . n != 0")
     if np.abs(field.coeffs[0, 0]).max() > tol * scale:

@@ -16,19 +16,17 @@ through the equilibrium residual, the discrete form of D*(C:E) = 0:
 with J = C:E and the sum restricted to unambiguous frequencies (on even grids
 the Nyquist rows are excluded, matching the modes the grid operator resolves).
 
-An iteration costs two real FFTs and Gamma's one contraction s = n . p_hat . n of
-p = dC:E.  As n . J_hat_{k+1} . n = s_{k+1} - s_k on the active modes, the residual
-comes from Gamma's scalars; so do delta, the RMS of E_k - E_{k-1} = Gamma (p_{k-1} - p_{k-2}),
-and the power iteration's ratio |B x|, as Gamma's output on a mode has size |s| / (lam0 |n|^2)
-(GreenOperator.rms).  The loop holds one (M, N, N) iterate, the six distinct (N, N) planes of the symmetric dC
-(CoefficientField.mandel_grid) and the step's buffers.
-
-The fixed point is Richardson iteration preconditioned by the reference medium; conjugate gradients
-with the same preconditioner (_ConjugateGradientStep) reach the same solution in far fewer iterations
-of the same FFT cost.  solve_cell runs CG under the arithmetic rule and the fixed point under the
-geometric and manual rules, where lam0 is the user's choice of series; both write the same history
-columns, and one loop holds the stop, history and overflow rules of both.
-With >= 2 usable CPUs and N >= green._SPLIT_MIN_N, the contractions, the FFTs and Gamma run on two threads,
+On the potentials E = E0 + IFFT(nn w_hat) the fixed point is Richardson iteration on the scalar w_hat,
+preconditioned by the reference medium: w_hat += r / (lam0 |n|^4), with r = -n.J_hat.n on the active modes.
+Conjugate gradients with the same preconditioner reach the same solution in far fewer iterations of the
+same cost.  One step class (_PotentialStep) runs both: CG under the arithmetic rule, and the fixed point
+under the geometric and manual rules, where lam0 is the user's choice of series; the power iteration
+(estimate_spectral_radius) applies its operator too, and one loop holds the stop, history and overflow rules.
+An iteration costs two real FFTs and one contraction n . q_hat . n of q = C:X, X = IFFT(nn d) for the step d;
+the residual, delta (the RMS of E_k - E_{k-1}) and the energy follow from it and from inner products over the
+half spectrum.  The loop holds two (M, N, N) fields, the six distinct (N, N) planes of the symmetric C
+(CoefficientField.mandel_grid), one (M, N, N//2 + 1) half spectrum and three (N, N//2 + 1) vectors.
+With >= 2 usable CPUs and N >= green._SPLIT_MIN_N, the contractions and the FFTs run on two threads,
 with results bit-identical to one core (`taskset -c 0`); there is no setting.
 The reports' series_factor (apriori_bound) is the paper's trace-reference estimate.
 """
@@ -41,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .green import FrequencyGrid, GreenOperator, HalfSpectrum, _gamma_scale
+from .green import FrequencyGrid, HalfSpectrum, _gamma_scale
 from .mandel import M, PLANES, SymTensor2, trace_dyad
 from .microstructure import CoefficientField
 
@@ -193,87 +191,61 @@ def _stiffness_product(c: np.ndarray, x: np.ndarray, out: np.ndarray, spec: np.n
     out += 0.0
 
 
-class _NeumannStep:
-    """B = Gamma * (dC : .), the operator of the fixed point, for one field and lam0.
+class _PotentialStep:
+    """The fixed point or CG on the scalar potential w_hat of E = E0 + IFFT(nn w_hat), preconditioned by lam0 Lap^2.
 
-    Built once per solve: dC = C - C0, mandel_grid's six planes with lam0 taken off the three diagonal ones in place, is
-    the only coefficient grid, and the Green operator holds its scale with the inactive modes zeroed; every call
-    rewrites p and spec.
-    """
-
-    def __init__(self, field: CoefficientField, lambda0: float):
-        self.dc = field.mandel_grid()
-        for a in range(M):
-            self.dc[PLANES[a, a]] -= lambda0
-        self.lam = lambda0
-        self.green = GreenOperator(FrequencyGrid(2, field.n), lambda0)
-        self.p, self.spec = np.empty((M, field.n, field.n)), np.empty((M, field.n, field.n // 2 + 1), dtype=complex)
-
-    def __call__(self, e: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """p = dC:E, Gamma's output in spec and its scalars in s; returns a copy of p_hat(0), which Gamma zeroes."""
-        self.green.halves(lambda lo, hi: _stiffness_product(self.dc, e, self.p, self.spec, lo, hi), self.green.n)
-        self.green.forward(self.p, self.spec)
-        p_hat0 = self.spec[:, 0, 0].copy()
-        self.green.apply(self.spec, s)
-        return p_hat0
-
-    def iterate(self, e0: np.ndarray):
-        """Rows (residual, delta, energy) of E_1, E_2, ... from the constant field E0; e holds the last row's iterate."""
-        n, lam = self.green.n, self.lam
-        self.e = np.broadcast_to(e0[:, None, None], (M, n, n)).copy()  # the one iterate, rewritten in place
-        s, s_new = np.empty((2, n, n // 2 + 1), dtype=complex)
-        self(self.e, s)
-        delta = self.green.rms(s)  # |E_1 - E_0|: E_1 - E_0 = Gamma (dC:E_0), whose scalars are s_0
-        while True:
-            self.spec[:, 0, 0] = n * n * e0  # Gamma zeroes the mean mode; E0 fills it
-            self.green.inverse(self.spec, self.e)
-            self.j0 = self(self.e, s_new) + n * n * lam * e0
-            s -= s_new  # s_{k-1} - s_k = -n.J_hat_k.n, and the scalars of E_k - E_{k+1}
-            self.residual = self.green.equilibrium_residual(s, self.j0)
-            yield self.residual, delta, (_inner(self.e, self.p) + lam * _inner(self.e, self.e)) / (n * n)
-            delta = self.green.rms(s)  # the next row's |E_{k+1} - E_k|
-            s, s_new = s_new, s
-
-    def solution(self) -> tuple[np.ndarray, np.ndarray, SymTensor2, float]:
-        """Curvature E and moment C:E of the last row, as (M, N, N) grids, the mean moment and the row's residual."""
-        for a in range(M):  # the moment C:E = dC:E + lam0 E in p's buffer, one component's temporary at a time
-            self.p[a] += self.lam * self.e[a]
-        return self.e, self.p, SymTensor2(self.j0.real / self.green.n**2), self.residual
-
-
-class _ConjugateGradientStep:
-    """Conjugate gradients on the scalar potential w_hat of E = E0 + IFFT(nn w_hat), preconditioned by lam0 Lap^2.
-
-    The fixed point is Richardson iteration w_hat += r / (lam0 |n|^4) on A w_hat = b, with r = b - A w_hat =
-    -n.J_hat.n on the active modes, J = C:E and A w_hat = n.(C : IFFT(nn w_hat))^.n; CG takes the same
-    preconditioner.  Its iterates do not depend on lam0, but lam0 keeps d and A d at the size of r, as the
-    fixed point's vectors are, for coefficients near the ends of the float range.  One iteration is one
-    application of A: nn d into spec, the inverse pass, C:X, the forward pass and n.q_hat.n.
+    With r = b - A w_hat = -n.J_hat.n on the active modes, J = C:E and A w_hat = n.(C : IFFT(nn w_hat))^.n, an
+    iteration steps w_hat += alpha d from z = r / (lam0 |n|^4).  Under the geometric and manual rules it runs the
+    fixed point E_{k+1} = E0 + Gamma (dC : E_k), which is Richardson iteration: alpha = 1 and d = z.  Under the
+    arithmetic rule it runs CG: alpha = <r, z> / <d, A d> and d = z + beta d.  CG's iterates do not depend on
+    lam0, but lam0 keeps d and A d at the size of r, as the fixed point's vectors are, for coefficients near
+    the ends of the float range.  One iteration is one application of A: _curvature, then _contraction.
     Inner products sum the half spectrum with its Parseval multiplicities, by einsum on the calling thread.
-    Built once per solve: C is mandel_grid's six planes themselves, and the step holds the half-spectrum vectors
-    w_hat, r and d; spec's planes hold q and z in turn, and the products of C:X while it is free.
+    Built once per solve: C is mandel_grid's six planes themselves, and the step holds X, C:X and one half
+    spectrum, whose planes hold q and z in turn and the products of C:X while it is free; iterate adds the
+    half-spectrum vectors w_hat, r and d.
 
     The loop updates r and J_hat(0) by recursion, which rounding parts from the fields' own below about
     1e-12; so once the recursive residual meets the tolerance, _settle forms the fields and their residual,
-    and that residual is the row's.  Above the tolerance, CG restarts from it, and ends when a restart
+    and that residual is the row's.  Above the tolerance, the loop restarts from it, and ends when a restart
     did not lower it (the rounding floor).  The solve runs on E0 scaled exactly by a power of two, to
-    lam0 max|E0|^2 in [1/8, 2): <r, z> is of that size, and neither underflows for tiny loads nor
-    overflows for large ones or stiff cells; rows and fields are scaled back.
+    mu_max max|E0|^2 in [1/8, 2) for the cell's largest stiffness mu_max: <r, z> is of the size of mu_max / lam0,
+    near 1 under the arithmetic rule, and underflows neither for tiny loads or a lam0 far above the stiffness
+    nor overflows for large loads or stiff cells; rows and fields are scaled back.
     """
 
-    def __init__(self, field: CoefficientField, lambda0: float, tolerance: float):
+    def __init__(self, field: CoefficientField, ref: ReferenceMedium):
         n = field.n
         self.c = field.mandel_grid()
         grid = FrequencyGrid(2, n)
         self.half = HalfSpectrum(grid)
-        self.precondition = grid.inv_norm4[:, : n // 2 + 1] / lambda0
+        self.precondition = grid.inv_norm4[:, : n // 2 + 1] / ref.lambda0
+        del grid  # freed before the buffers below: held with them, its tables raise the solve's peak by 60 KB at N = 64
+        self.conjugate = ref.strategy == "arithmetic"
         self.own_conjugates = (0, n // 2) if n % 2 == 0 else (0,)
-        self.tolerance = tolerance
-        self.lam_exponent = math.frexp(lambda0)[1]
+        self.stiffness_exponent = math.frexp(ref.mu_max)[1]
+        # One array each: at N = 512 a single (2, M, N, N) block and a single (3, N, N//2 + 1) block, which do
+        # not fit the holes the freed FrequencyGrid leaves, raised the solve's peak RSS by 5 MiB.
+        self.x, self.p = np.empty((M, n, n)), np.empty((M, n, n))  # X = IFFT(nn d) and C:X; E and C:E at the end
+        self.spec = np.empty((M, n, n // 2 + 1), dtype=complex)
+        self.q0 = np.empty(M, dtype=complex)  # (C:X)^(0), which the contraction overwrites
 
-    def _moment(self) -> None:
-        """p = C:x."""
-        self.half.halves(lambda lo, hi: _stiffness_product(self.c, self.x, self.p, self.spec, lo, hi), self.half.n)
+    def _curvature(self, d: np.ndarray) -> None:
+        """X = IFFT(nn d) of a potential d into x, through spec."""
+        self.half.potential(d, self.spec)
+        self.half.inverse(self.spec, self.x)
+
+    def _contraction(self) -> np.ndarray:
+        """n.(C:x)^.n into spec[0], which it returns, with C:x in p and its mean mode (C:x)^(0) in q0.
+
+        spec's planes 1 and 2 are free afterwards.
+        """
+        half = self.half
+        half.halves(lambda lo, hi: _stiffness_product(self.c, self.x, self.p, self.spec, lo, hi), half.n)
+        half.forward(self.p, self.spec)
+        self.q0[:] = self.spec[:, 0, 0]
+        half.contract(self.spec, self.spec[0])
+        return self.spec[0]
 
     def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Re sum over the full spectrum of conj(a) b, for half spectra a and b of real fields, one of them 0 off the active modes.
@@ -291,20 +263,15 @@ class _ConjugateGradientStep:
 
         fields_residual keeps it until the next iteration overwrites x and p.
         """
-        half = self.half
-        half.potential(self.w, self.spec)
-        half.inverse(self.spec, self.x)
+        self._curvature(self.w)
         self.x += self.e0[:, None, None]
-        self._moment()
-        half.forward(self.p, self.spec)
-        self.j0[:] = self.spec[:, 0, 0]
-        half.contract(self.spec, self.r)
-        np.negative(self.r, out=self.r)
+        np.negative(self._contraction(), out=self.r)
+        self.j0[:] = self.q0
         _conjugate_symmetric(self.r)
-        self.fields_residual = half.equilibrium_residual(self.r, self.j0)
+        self.fields_residual = self.half.equilibrium_residual(self.r, self.j0)
         return self.fields_residual
 
-    def iterate(self, e0: np.ndarray):
+    def iterate(self, e0: np.ndarray, tolerance: float):
         """Rows (residual, delta, energy) of E_1, E_2, ... from the constant field E0.
 
         The rows end when <d, A d> is 0 or <r, z> is below the normal range (r = 0, or a residual near 1e-155),
@@ -314,12 +281,8 @@ class _ConjugateGradientStep:
         |alpha| RMS(X), the RMS of E_k - E_{k-1}; J_hat(0) is updated as alpha q_hat(0).
         """
         n, half = self.half.n, self.half
-        scale = self.scale = math.frexp(float(np.abs(e0).max()))[1] + self.lam_exponent // 2
+        scale = self.scale = math.frexp(float(np.abs(e0).max()))[1] + self.stiffness_exponent // 2
         self.e0 = np.ldexp(e0, -scale)
-        # One array each: at N = 512 a single (2, M, N, N) block and a single (3, N, N//2 + 1) block, which do
-        # not fit the holes the freed FrequencyGrid leaves, raised the solve's peak RSS by 5 MiB.
-        self.x, self.p = np.empty((M, n, n)), np.empty((M, n, n))  # X = IFFT(nn d) and C:X; E and C:E at the end
-        spec = self.spec = np.empty((M, n, n // 2 + 1), dtype=complex)
         w, r, d = self.w, self.r, self.d = [np.zeros((n, n // 2 + 1), dtype=complex) for _ in range(3)]
         j0 = self.j0 = np.empty(M, dtype=complex)
         self._settle()  # r and j0 of the constant field E0, as w_hat = 0
@@ -333,25 +296,23 @@ class _ConjugateGradientStep:
         phi, floor = 0.0, math.inf
         while True:
             self.fields_residual = None
-            half.potential(d, spec)
-            half.inverse(spec, self.x)
+            self._curvature(d)
             size = math.sqrt(_inner(self.x, self.x) / (n * n))
-            self._moment()
-            half.forward(self.p, spec)
-            q0 = spec[:, 0, 0].copy()
-            q, scratch = spec[0], spec[1]
-            half.contract(spec, q)
+            q, scratch = self._contraction(), self.spec[1]
             dq, dr = self._dot(d, q), self._dot(d, r)
-            alpha = rz / dq if dq else 0.0  # dq = 0: A d vanishes, and the step below is the last
+            if self.conjugate:
+                alpha = rz / dq if dq else 0.0  # dq = 0: A d vanishes, and the step below is the last
+            else:
+                alpha = 1.0
             np.multiply(d, alpha, out=scratch)
             w += scratch
             q *= alpha
             r -= q
             _conjugate_symmetric(r)
-            j0 += alpha * q0
+            j0 += alpha * self.q0
             phi += alpha * (0.5 * alpha * dq - dr)
             residual = half.equilibrium_residual(r, j0)
-            restart = residual <= self.tolerance
+            restart = residual <= tolerance
             if restart:
                 residual = self._settle()
             yield row(residual, abs(alpha) * size, phi)
@@ -364,11 +325,11 @@ class _ConjugateGradientStep:
             rz_new = self._dot(r, z)
             if not (dq and rz_new >= sys.float_info.min):  # r = 0, or <r, z> is subnormal and its ratios noise
                 return
-            if restart:
-                d[:] = z
-            else:
+            if self.conjugate and not restart:
                 d *= rz_new / rz
                 d += z
+            else:
+                d[:] = z
             rz = rz_new
 
     def solution(self) -> tuple[np.ndarray, np.ndarray, SymTensor2, float]:
@@ -399,11 +360,11 @@ def solve_cell(
 ) -> CellSolution:
     """Iterate from the constant field E0 until equilibrium: CG under the arithmetic rule, else the fixed point.
 
-    final_residual is the residual of the returned fields; under CG it may differ from the last history row's
-    when the loop ends short of the tolerance.  On success it is <= tolerance; if the budget is exhausted
+    final_residual is the residual of the returned fields; it may differ from the last history row's when the
+    loop ends short of the tolerance.  On success it is <= tolerance; if the budget is exhausted
     (or the iterates blow up), it is flagged non-converged with the full history.
-    A first iteration whose residual, delta or energy overflows (e0 or lam0 near the
-    float range) raises ValueError.
+    A first iteration whose residual, delta or energy overflows (e0 near the float range, or lam0 so far
+    below the stiffness that the first iterate's energy leaves it) raises ValueError.
     """
     if config.e0 is None:
         raise ValueError("solver config has no macroscopic curvature e0")
@@ -415,16 +376,16 @@ def solve_cell(
         zero = np.zeros((n, n, M))
         return CellSolution(zero, zero, 0, 0.0, True, history, 0.0, SymTensor2(np.zeros(M)))
 
-    if ref.strategy == "arithmetic":
-        step = _ConjugateGradientStep(field, ref.lambda0, config.tolerance)
-    else:
-        step = _NeumannStep(field, ref.lambda0)
+    step = _PotentialStep(field, ref)
     # divergent references overflow before their residual turns non-finite and ends the loop
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (residual, delta, energy) in zip(range(1, config.max_iterations + 1), step.iterate(e0)):
+        for k, (residual, delta, energy) in zip(range(1, config.max_iterations + 1), step.iterate(e0, config.tolerance)):
             history.append(k, residual, delta, energy)
             if k == 1 and not all(map(math.isfinite, (residual, delta, energy))):
-                raise ValueError(f"the first iteration overflows: e0 {e0.tolist()} or lambda0 {ref.lambda0:g} is too large")
+                raise ValueError(
+                    f"the first iteration overflows: e0 {e0.tolist()} is too large, "
+                    f"or lambda0 {ref.lambda0:g} too far below the stiffness {ref.mu_max:g}"
+                )
             if residual <= config.tolerance or not math.isfinite(residual):
                 break
         curvature, moment, mean, residual = step.solution()
@@ -439,27 +400,39 @@ def estimate_spectral_radius(
 
     Runs B: E -> -Gamma*(dC:E) on a seeded random zero-mean field and returns
     the geometric mean of the last five norm ratios; returns 0.0 if the
-    iterate underflows (B vanishes on the relevant subspace).
+    iterate underflows (B vanishes on the relevant subspace).  B runs on the
+    solver's step, on potentials v of X = IFFT(nn v): B v = M^-1 A v - v, with
+    M = lam0 |n|^4 the preconditioner, and |B v| is the RMS of the X that the
+    next application of A starts from.  The drawn field x is not a potential:
+    the first v is lam0 M^-1 n.x_hat.n, the potential of its projection.
     """
     if iterations < 10:
         raise ValueError(f"need at least 10 power iterations, got {iterations}")
     n = field.n
-    step = _NeumannStep(field, ref.lambda0)
+    step = _PotentialStep(field, ref)
     rng = np.random.default_rng(seed)
     x = np.moveaxis(rng.standard_normal((n, n, M)), -1, 0)  # the draw of the (N, N, M) layout
     x -= x.mean(axis=(1, 2), keepdims=True)
     x /= math.sqrt(_inner(x, x) / (n * n))
-    s = np.empty((n, n // 2 + 1), dtype=complex)
+    step.x[:] = x
+    x = step.x
     ratios = deque(maxlen=5)  # the last five ratios, which the estimate averages
     with np.errstate(over="ignore", invalid="ignore"):
+        step.half.forward(x, step.spec)
+        step.half.contract(step.spec, step.spec[0])
+        v = ref.lambda0 * step.spec[0] * step.precondition  # overflows for lam0 near the float range, and r is not finite
         for _ in range(iterations):
-            step(x, s)
-            r = step.green.rms(s)  # |B x|, from Gamma's scalars
+            q = step._contraction()
+            q *= step.precondition
+            np.subtract(q, v, out=v)  # B x, as a potential
+            _conjugate_symmetric(v)
+            step._curvature(v)
+            r = math.sqrt(_inner(x, x) / (n * n))  # |B x|
             if not math.isfinite(r):
                 raise ValueError(f"the power iteration overflows: lambda0 {ref.lambda0:g} is too large")
             if r < 1e-13:
                 return 0.0
             ratios.append(r)
-            step.green.inverse(step.spec, x)
-            x /= -r  # B x / |B x|
+            x /= r  # B x / |B x|, and its potential
+            v /= r
     return float(np.exp(np.log(ratios).sum() / len(ratios)))

@@ -65,11 +65,14 @@ DIVERGENT = (
 
 OVERFLOWING = {
     "solve-e0": ("solve", ["--set", "e0=1e308,0,0"]),
+    "solve-e0-squared": ("solve", ["--set", "e0=1e155,0,0"]),
+    "spectrum-lambda0": ("spectrum", ["--set", "reference.strategy=manual", "--set", "reference.lambda0=1e308"]),
+}
+
+HUGE_REFERENCE = {
     "solve-lambda0": ("solve", ["--set", "e0=1,0,0", "--set", "reference.strategy=manual",
                                 "--set", "reference.lambda0=1e308"]),
     "homogenize-lambda0": ("homogenize", ["--set", "reference.strategy=manual", "--set", "reference.lambda0=1e308"]),
-    "solve-e0-squared": ("solve", ["--set", "e0=1e155,0,0"]),
-    "spectrum-lambda0": ("spectrum", ["--set", "reference.strategy=manual", "--set", "reference.lambda0=1e308"]),
 }
 
 
@@ -619,6 +622,29 @@ class TestErrorBoundary:
         assert len(err.splitlines()) == 1
         assert "overflows" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, load", HUGE_REFERENCE.values(), ids=HUGE_REFERENCE.keys())
+    def test_reference_near_the_float_range_exits_2(self, tmp_path, capsys, monkeypatch, command, load):
+        # lam0 enters the fixed point only through 1 / (lam0 |n|^4), so nothing overflows: the step underflows
+        # and the loop ends unconverged after one iteration, split or not
+        def outcome(out):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(command, "--out", str(out), *CHESSBOARD, *load)
+            assert [str(w.message) for w in caught] == []
+            report = report_dict(out / "report.txt") if command == "solve" else {}
+            return code, capsys.readouterr().err, report
+
+        unsplit = outcome(tmp_path / "unsplit")
+        monkeypatch.setattr(green, "_CPUS", 2)
+        monkeypatch.setattr(green, "_SPLIT_MIN_N", 2)
+        assert outcome(tmp_path / "split") == unsplit
+        code, err, report = unsplit
+        assert code == 2 and len(err.splitlines()) == 1
+        if command == "solve":
+            assert report["converged"] == "false"
+            values = [report["residual"], report["energy"], *report["mean_moment"].split()]
+            assert all(math.isfinite(float(v)) for v in values)
 
     def test_split_loop_keeps_exits_and_messages_without_warnings(self, tmp_path, capsys, monkeypatch):
         # np.errstate is per context: the worker's halves must run under the caller's

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from platefft import green
 from platefft.green import (
     FrequencyGrid,
-    GreenOperator,
+    HalfSpectrum,
     SpectralField,
     build_skew_potential,
     dirac_sobolev_partial_sum,
@@ -22,7 +23,7 @@ from platefft.green import (
 )
 from platefft.mandel import SQRT2, StiffTensor4, identity_vector, sym_to_mandel
 from platefft.microstructure import generate_inclusion
-from platefft.solver import _ConjugateGradientStep, _NeumannStep
+from platefft.solver import ReferenceMedium, _PotentialStep, select_reference
 
 TWO_PI = 2.0 * np.pi
 
@@ -176,7 +177,7 @@ class TestGammaSymbol:
             with pytest.raises(ValueError, match=message):
                 gamma_apply(SpectralField(np.zeros((4, 4, 3), dtype=complex)), lam)
             with pytest.raises(ValueError, match=message):
-                GreenOperator(FrequencyGrid(2, 4), lam)
+                ReferenceMedium(lam, "manual", 1.0, 1.0)
 
 
 class TestGammaApply:
@@ -488,11 +489,11 @@ def forward(op, values):
     return out
 
 
-def apply(op, coeffs):
-    """Gamma's output and s from op.apply on a copy of coeffs, s starting as NaN."""
-    gamma_hat, s = coeffs.copy(), np.full(coeffs.shape[1:], np.nan, dtype=complex)
-    op.apply(gamma_hat, s)
-    return gamma_hat, s
+def contract(op, coeffs):
+    """s = n.P_hat.n from op.contract on a copy of coeffs (the pass overwrites two of its planes), s starting as NaN."""
+    s = np.full(coeffs.shape[1:], np.nan, dtype=complex)
+    op.contract(coeffs.copy(), s)
+    return s
 
 
 def inverse(op, coeffs):
@@ -502,76 +503,67 @@ def inverse(op, coeffs):
     return out
 
 
+def potential(op, w):
+    """op.potential of w into a fresh NaN-filled buffer."""
+    out = np.full((3, *w.shape), np.nan, dtype=complex)
+    op.potential(w, out)
+    return out
+
+
+def preconditioner(grid, lam):
+    """1 / (lam0 |n|^4) on the active modes of the half spectrum, the solver's M^-1."""
+    return grid.inv_norm4[:, : grid.n // 2 + 1] / lam
+
+
 class TestGreenOperator:
+    """Gamma on the half spectrum: potential(-M^-1 contract), the passes the solver's step composes."""
+
     @pytest.mark.parametrize("n", [8, 9])
     def test_half_spectrum_residual_matches_full_spectrum(self, n):
         rng = np.random.default_rng(700 + n)
         grid = FrequencyGrid(2, n)
-        op = GreenOperator(grid, 1.5)
+        op = HalfSpectrum(grid)
         for _ in range(5):
             j = rng.standard_normal((n, n, 3)) + rng.standard_normal(3)
             want = full_spectrum_residual(np.fft.fftn(j, axes=(0, 1)), grid)
             j_hat = forward(op, np.moveaxis(j, -1, 0))
-            _, s = apply(op, j_hat)  # s = n.J_hat.n
-            assert op.equilibrium_residual(s, j_hat[:, 0, 0]) == pytest.approx(want, rel=1e-12)
+            assert op.equilibrium_residual(contract(op, j_hat), j_hat[:, 0, 0]) == pytest.approx(want, rel=1e-12)
+
+    def test_residual_of_a_zero_mean_moment_is_zero_or_infinite(self):
+        op = HalfSpectrum(FrequencyGrid(2, 4))
+        ds = np.zeros((4, 3), dtype=complex)
+        assert op.equilibrium_residual(ds, np.zeros(3)) == 0.0
+        ds[1, 1] = 1.0
+        assert op.equilibrium_residual(ds, np.zeros(3)) == math.inf
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_half_spectrum_gamma_matches_full_spectrum(self, n):
         rng = np.random.default_rng(800 + n)
         p = rng.standard_normal((n, n, 3))
-        op = GreenOperator(FrequencyGrid(2, n), 1.5)
+        grid = FrequencyGrid(2, n)
+        op = HalfSpectrum(grid)
         want = gamma_apply(SpectralField.from_real(p), 1.5).to_real()
-        got = inverse(op, apply(op, forward(op, np.moveaxis(p, -1, 0)))[0])
+        w = -preconditioner(grid, 1.5) * contract(op, forward(op, np.moveaxis(p, -1, 0)))
+        got = inverse(op, potential(op, w))
         np.testing.assert_allclose(np.moveaxis(got, 0, -1), want, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [8, 9])
-    def test_scalar_step_is_equilibrium_contraction(self, n):
-        # With E_{k+1} = E0 + Gamma (dC:E_k) and dC = C - lam0 Id, the moment J = C:E_{k+1}
-        # has n.J_hat.n = s_{k+1} - s_k on the active modes and J_hat(0) = p_hat(0) + N^2 lam0 E0.
-        rng = np.random.default_rng(900 + n)
-        lam = 2.0
-        a = rng.standard_normal((n, n, 3, 3))
-        c = a @ a.transpose(0, 1, 3, 2) + 0.5 * np.eye(3)
-        dc = c - lam * np.eye(3)
-        op = GreenOperator(FrequencyGrid(2, n), lam)
-        active = op.weights > 0
-
-        def spectrum(mat, values):
-            return forward(op, np.einsum("xyab,bxy->axy", mat, values))
-
-        e0 = rng.standard_normal(3)
-        e_hat, s = apply(op, spectrum(dc, np.moveaxis(np.broadcast_to(e0, (n, n, 3)), -1, 0)))
-        for _ in range(3):
-            e_hat[:, 0, 0] = n * n * e0
-            e = inverse(op, e_hat)
-            p_hat = spectrum(dc, e)
-            e_hat, s_new = apply(op, p_hat)
-            j_hat = spectrum(c, e)
-            _, want = apply(op, j_hat)
-            atol = 1e-13 * np.abs(s_new).max()
-            np.testing.assert_allclose((s_new - s)[active], want[active], rtol=0, atol=atol)
-            np.testing.assert_allclose(p_hat[:, 0, 0] + n * n * lam * e0, j_hat[:, 0, 0], rtol=1e-13)
-            s = s_new
-
-    @pytest.mark.parametrize("n", [8, 9])
-    def test_gamma_equals_the_three_plane_symbol_bit_for_bit(self, n):
-        # Gamma forms nn_a table in its output plane, then multiplies by s; the symbol stored as three planes
-        # nn_a (inv_norm4 (-1/lam0)), each multiplied by s, float by complex, gives the same bits, +-0 and inf included
-        rng = np.random.default_rng(1300 + n)
-        grid = FrequencyGrid(2, n)
-        op = GreenOperator(grid, 1.5)
+    def test_warm_contract_allocates_less_than_a_plane(self):
+        # numpy buffers the broadcast n1^2 and n2^2 operands in up to 8192 elements (np.getbufsize()), a whole plane
+        # on grids below N = 128; at N = 192 a plane holds 18 624, so only a plane-sized temporary exceeds it
+        n = 192
+        op = HalfSpectrum(FrequencyGrid(2, n))
+        rng = np.random.default_rng(1400)
         shape = (3, n, n // 2 + 1)
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        coeffs[:, 1] = -0.0
-        coeffs[:, 2, 0] = 0.0
-        coeffs[1, 3, 1] = complex(np.inf, -0.0)
-        got, s = coeffs.copy(), np.empty(shape[1:], dtype=complex)
-        with np.errstate(invalid="ignore"):
-            op.apply(got, s)
-            half = np.s_[:, : n // 2 + 1]
-            want = np.moveaxis(grid.mandel_nn[half], -1, 0) * (grid.inv_norm4[half] * (-1.0 / 1.5)) * s
-        assert np.isinf(s).any() and (s == 0).any()
-        assert got.tobytes() == want.tobytes()
+        s = np.empty(shape[1:], dtype=complex)
+        op.contract(coeffs, s)  # first-call allocations stay out of the measurement
+        tracemalloc.start()
+        try:
+            op.contract(coeffs, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < s.nbytes
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_split_passes_equal_unsplit_bit_for_bit(self, n, monkeypatch):
@@ -584,24 +576,15 @@ class TestGreenOperator:
         monkeypatch.setattr(green, "_CPUS", 2)
         for split in (False, True):
             monkeypatch.setattr(green, "_SPLIT_MIN_N", n if split else n + 1)
-            step = _NeumannStep(inclusion, 5.0)
-            assert step.green.split is split
+            step = _PotentialStep(inclusion, select_reference(inclusion, "arithmetic"))
+            op = step.half
+            assert op.split is split
+            x_hat = forward(op, x)
+            step.x[:] = x
             step.p.fill(np.nan)
             step.spec.fill(np.nan)
-            s = np.full((n, n // 2 + 1), np.nan, dtype=complex)
-            p_hat0 = step(x, s)
-            op = step.green
-            x_hat = forward(op, x)
-            potential = np.full(x_hat.shape, np.nan, dtype=complex)
-            op.potential(x_hat[0], potential)  # the passes conjugate gradients adds
-            contraction = np.full(s.shape, np.nan, dtype=complex)
-            op.contract(x_hat, contraction)
-            inverses = [inverse(op, step.spec), inverse(op, x_hat)]
-            cg = _ConjugateGradientStep(inclusion, 5.0, 1e-8)  # C:x, with C's planes in place of dC's
-            assert cg.half.split is split
-            cg.x, cg.p, cg.spec = x, np.full(x.shape, np.nan), np.full(step.spec.shape, np.nan, dtype=complex)
-            cg._moment()
-            results.append([step.p, p_hat0, step.spec, s, x_hat, *apply(op, x_hat), potential, contraction, *inverses, cg.p])
+            step._contraction()  # C:x into p, through spec
+            results.append([x_hat, contract(op, x_hat), potential(op, x_hat[0]), inverse(op, x_hat), step.p.copy()])
         for unsplit, split in zip(*results):
             assert not np.isnan(split).any() and not np.isnan(unsplit).any()
             assert split.dtype == unsplit.dtype and split.tobytes() == unsplit.tobytes()
@@ -610,12 +593,14 @@ class TestGreenOperator:
     @settings(deadline=None, max_examples=40, derandomize=True)
     @given(half=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), lam=st.floats(0.1, 10.0))
     def test_potential_projector_idempotent_and_self_adjoint(self, parity, half, seed, lam):
-        # P = -lam0 Gamma on the half spectrum; random fields fill the Nyquist rows of even grids
+        # P = -lam0 Gamma = lam0 potential(M^-1 contract) on the half spectrum; random fields fill the Nyquist rows of
+        # even grids
         n = 2 * half + parity
-        op = GreenOperator(FrequencyGrid(2, n), lam)
+        grid = FrequencyGrid(2, n)
+        op = HalfSpectrum(grid)
 
         def project(values):
-            return -lam * inverse(op, apply(op, forward(op, values))[0])
+            return lam * inverse(op, potential(op, preconditioner(grid, lam) * contract(op, forward(op, values))))
 
         x, y = np.moveaxis(np.random.default_rng(seed).standard_normal((2, n, n, 3)), -1, 1)
         px, py = project(x), project(y)

@@ -29,8 +29,7 @@ from platefft.solver import (
     series_factor,
     solve_cell,
     spectral_bound,
-    _ConjugateGradientStep,
-    _NeumannStep,
+    _PotentialStep,
 )
 
 ID = StiffTensor4.identity()
@@ -171,6 +170,9 @@ SMALL_CELLS = [
 
 
 def solve(field, e0, strategy="arithmetic", lambda0=None, tol=1e-10, max_iter=5000):
+    """solve_cell under the rule; the manual rule's lam0 defaults to the arithmetic one, where it runs the fixed point."""
+    if strategy == "manual" and lambda0 is None:
+        lambda0 = select_reference(field, "arithmetic").lambda0
     ref = select_reference(field, strategy, lambda0)
     config = SolverConfig(e0=SymTensor2(np.asarray(e0, dtype=float)), tolerance=tol,
                           max_iterations=max_iter)
@@ -179,7 +181,33 @@ def solve(field, e0, strategy="arithmetic", lambda0=None, tol=1e-10, max_iter=50
 
 def solve_fixed_point(field, e0, **kwargs):
     """The fixed point at the arithmetic lam0: the manual rule runs it, and solve_cell reads only lam0 and the rule."""
-    return solve(field, e0, "manual", select_reference(field, "arithmetic").lambda0, **kwargs)
+    return solve(field, e0, "manual", **kwargs)
+
+
+def over_both_schemes(argnames, cases):
+    """Parametrize argnames and the rule: each case on CG (the arithmetic rule) under its own id, then on the fixed
+    point (the manual rule at the arithmetic lam0) under `fixed-point-` and the id; cases maps ids to values."""
+    params = [pytest.param(*values, "arithmetic", id=key) for key, values in cases.items()]
+    params += [pytest.param(*values, "manual", id=f"fixed-point-{key}") for key, values in cases.items()]
+    return pytest.mark.parametrize(f"{argnames}, strategy", params)
+
+
+def check_energy_diagnostic(strategy):
+    f = generate_chessboard(1.0 * ID, 3.0 * ID, 16)
+    s = solve(f, [1.0, 0.5, 0.0], strategy, tol=1e-12)
+    assert s.energy == s.history.energies[-1]
+    # the loop's formula against <E : J> of the returned fields
+    assert s.energy == pytest.approx(float((s.curvature * s.moment).sum(axis=-1).mean()), rel=1e-12)
+
+
+def check_underflowing_inner_product(strategy):
+    # at tolerance 1e-300 the recursive residual falls to about 1e-162, where <r, z> underflows to 0: the loop
+    # ends there with no 0/0 and no warning, unconverged, and reports the fields' residual, not the recursive one
+    f = generate_inclusion(1.0 * ID, 3.0 * ID, 0.3, 8)
+    s = solve(f, [1.0, 0.5, 0.0], strategy, tol=1e-300, max_iter=1000)
+    assert s.iterations < 1000 and not s.converged
+    assert s.history.residuals[-1] < 1e-150 < s.final_residual == pytest.approx(recomputed_residual(s.moment), rel=0.05)
+    assert np.isfinite(s.history.energies).all() and np.isfinite(s.curvature).all()
 
 
 class TestSolveCell:
@@ -289,13 +317,13 @@ class TestSolveCell:
         term2 = apply_b(term1)
         np.testing.assert_allclose(s.curvature, term0 + term1 + term2, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("f", SMALL_CELLS)
-    def test_delta_is_rms_of_iterate_step(self, f):
+    @over_both_schemes("f", {p.id: p.values for p in SMALL_CELLS})
+    def test_delta_is_rms_of_iterate_step(self, f, strategy):
         # deltas[k-1] = RMS of E_k - E_{k-1}, with E_k the curvature of a solve cut after k iterations
         e0 = np.array([1.0, -0.2, 0.7])
-        deltas = solve(f, e0, tol=1e-300, max_iter=3).history.deltas
+        deltas = solve(f, e0, strategy, tol=1e-300, max_iter=3).history.deltas
         iterates = [np.broadcast_to(e0, (f.n, f.n, 3))]
-        iterates += [solve(f, e0, tol=1e-300, max_iter=k).curvature for k in (1, 2, 3)]
+        iterates += [solve(f, e0, strategy, tol=1e-300, max_iter=k).curvature for k in (1, 2, 3)]
         for k in (1, 2, 3):
             d = iterates[k] - iterates[k - 1]
             assert deltas[k - 1] == pytest.approx(math.sqrt((d**2).sum(axis=-1).mean()), rel=1e-12)
@@ -321,6 +349,15 @@ class TestSolveCell:
         assert len(s.history.iterations) == s.iterations >= 1
         assert not (s.final_residual <= 1e-10)
 
+    def test_reference_far_above_the_stiffness_is_not_converged(self):
+        # the contraction factor 1 - mu_min/lam0 rounds to 1, so the loop stops after one iteration that leaves
+        # E = E0; C:E0 of the scaled load stays in range, so that stop reads unconverged, not as a zero residual
+        f = generate_chessboard(1e-300 * ID, 3e-300 * ID, 8)
+        s = solve(f, [1.0, 0.0, 0.0], strategy="manual", lambda0=1e300)
+        assert s.iterations == 1 and not s.converged and s.final_residual > 1
+        assert np.array_equal(s.curvature, np.broadcast_to([1.0, 0.0, 0.0], (8, 8, 3)))
+        assert s.energy == pytest.approx(2e-300, rel=1e-12)
+
     def test_history_columns_consistent(self):
         f = generate_chessboard(1.0 * ID, 3.0 * ID, 8)
         s = solve(f, [1.0, 0.0, 0.0], tol=1e-8)
@@ -331,11 +368,10 @@ class TestSolveCell:
         assert h.residuals[-1] == s.final_residual
 
     def test_energy_diagnostic_matches_solution_energy(self):
-        f = generate_chessboard(1.0 * ID, 3.0 * ID, 16)
-        s = solve(f, [1.0, 0.5, 0.0], tol=1e-12)
-        assert s.energy == s.history.energies[-1]
-        # the loop's formula against <E : J> of the returned fields
-        assert s.energy == pytest.approx(float((s.curvature * s.moment).sum(axis=-1).mean()), rel=1e-12)
+        check_energy_diagnostic("arithmetic")
+
+    def test_fixed_point_energy_diagnostic_matches_solution_energy(self):
+        check_energy_diagnostic("manual")
 
     @pytest.mark.parametrize(
         "field",
@@ -397,6 +433,8 @@ def recomputed_residual(moment):
 
 
 class TestConjugateGradients:
+    """CG's robustness; the fixed point, which runs on the same step, passes the same tests but for CG's rate."""
+
     @pytest.mark.parametrize("n", [15, 16])
     def test_stable_below_the_rounding_floor(self, n):
         # FFT rounding leaves column 0 of the half spectrum slightly off conjugate symmetry, a part that CG cannot
@@ -406,12 +444,12 @@ class TestConjugateGradients:
         assert s.iterations == 150 and s.history.residuals[-1] <= 1e-14 and s.final_residual <= 1e-13
         assert all(b <= a for a, b in zip(s.history.energies, s.history.energies[1:]))
 
-    @pytest.mark.parametrize("tol", [1e-10, 1e-15])
-    def test_reported_residual_is_the_returned_fields(self, tol):
+    @over_both_schemes("tol", {"1e-10": (1e-10,), "1e-15": (1e-15,)})
+    def test_reported_residual_is_the_returned_fields(self, tol, strategy):
         # The loop's recursive residual falls below 1e-15 here, while the fields' own stays near 3e-13 (rounding):
         # the solve reports the fields' residual, and is converged only if that meets the tolerance
         f = generate_inclusion(1.0 * ID, 10.0 * ID, 0.3, 64)
-        s = solve(f, [1.0, 0.5, 0.25], tol=tol, max_iter=1000)
+        s = solve(f, [1.0, 0.5, 0.25], strategy, tol=tol, max_iter=1000)
         recomputed = recomputed_residual(s.moment)
         assert s.final_residual == s.history.residuals[-1] == pytest.approx(recomputed, rel=0.05)
         assert s.converged == (recomputed <= tol) == (tol == 1e-10)
@@ -419,31 +457,29 @@ class TestConjugateGradients:
         np.testing.assert_allclose(s.mean_moment.mandel, s.moment.mean(axis=(0, 1)), rtol=1e-14)
 
     def test_underflowing_inner_product_ends_the_loop(self):
-        # at tolerance 1e-300 the recursive residual falls to about 1e-162, where <r, z> underflows to 0: the loop
-        # ends there with no 0/0 and no warning, unconverged, and reports the fields' residual, not the recursive one
-        f = generate_inclusion(1.0 * ID, 3.0 * ID, 0.3, 8)
-        s = solve(f, [1.0, 0.5, 0.0], tol=1e-300, max_iter=1000)
-        assert s.iterations < 1000 and not s.converged
-        assert s.history.residuals[-1] < 1e-150 < s.final_residual == pytest.approx(recomputed_residual(s.moment), rel=0.05)
-        assert np.isfinite(s.history.energies).all() and np.isfinite(s.curvature).all()
+        check_underflowing_inner_product("arithmetic")
 
-    @pytest.mark.parametrize("exponent", [-532, 500])
-    def test_loads_far_from_one_solve_as_the_unit_load_scaled(self, exponent):
+    def test_underflowing_inner_product_ends_the_fixed_point(self):
+        check_underflowing_inner_product("manual")
+
+    @over_both_schemes("exponent", {"-532": (-532,), "500": (500,)})
+    def test_loads_far_from_one_solve_as_the_unit_load_scaled(self, exponent, strategy):
         # unscaled, <r, z> of a load near 1e-160 underflows to 0 and ends the loop; the solve is linear in E0, so a
         # load that is a power of two times another has exactly the scaled fields and the same residuals
         f = generate_inclusion(1.0 * ID, 3.0 * ID, 0.3, 8)
-        unit, scaled = solve(f, [1.0, -0.5, 0.25], tol=1e-14), solve(f, np.ldexp([1.0, -0.5, 0.25], exponent), tol=1e-14)
+        unit = solve(f, [1.0, -0.5, 0.25], strategy, tol=1e-14)
+        scaled = solve(f, np.ldexp([1.0, -0.5, 0.25], exponent), strategy, tol=1e-14)
         assert scaled.converged and scaled.history.residuals == unit.history.residuals
         assert np.array_equal(scaled.curvature, np.ldexp(unit.curvature, exponent))
         assert np.array_equal(scaled.moment, np.ldexp(unit.moment, exponent))
         assert scaled.history.deltas == [math.ldexp(d, exponent) for d in unit.history.deltas]
         assert scaled.energy == pytest.approx(math.ldexp(unit.energy, 2 * exponent), rel=2e-3)  # subnormal at -532
 
-    @pytest.mark.parametrize("e0, stiffness", [(5e-324, 1e300), (1e300, 1e-300)], ids=["tiny-on-stiff", "huge-on-soft"])
-    def test_extreme_load_and_stiffness_converge(self, e0, stiffness):
+    @over_both_schemes("e0, stiffness", {"tiny-on-stiff": (5e-324, 1e300), "huge-on-soft": (1e300, 1e-300)})
+    def test_extreme_load_and_stiffness_converge(self, e0, stiffness, strategy):
         # E0.<C>E0 is near 1e-24 and 1e300: in range, though C:E0 or E0 alone is near an end of it
         f = generate_inclusion(stiffness * ID, 3.0 * stiffness * ID, 0.3, 8)
-        s = solve(f, [e0, 0.0, 0.0], tol=1e-14, max_iter=200)
+        s = solve(f, [e0, 0.0, 0.0], strategy, tol=1e-14, max_iter=200)
         assert s.converged and s.iterations < 200
         assert np.isfinite(s.history.energies).all() and np.isfinite(s.curvature).all()
 
@@ -481,37 +517,33 @@ class TestReferenceStrategiesHighContrast:
 class TestStiffnessProduct:
     @pytest.mark.parametrize("n", [8, 9])
     def test_both_steps_equal_einsum_over_the_full_grid_bit_for_bit(self, n):
-        # Phases with positive entries and lam0 below their diagonals: where x is -0.0, every product of either
-        # step is -0.0, and einsum's sum is +0.0.
+        # The step of either scheme, CG and the fixed point (lam0 below the phases' diagonals), forms C:x with C's
+        # own planes.  Phases with positive entries: where x is -0.0, every product is -0.0, and einsum's sum is +0.0.
         rng = np.random.default_rng(1200 + n)
         phases = {}
         for k in range(3):
             a = rng.uniform(0.1, 1.0, (3, 3))
             phases[k] = StiffTensor4(a @ a.T + np.eye(3))
         f = CoefficientField(rng.integers(0, 3, (n, n)), PhaseTable(phases))
-        lam = 0.5
         x = rng.standard_normal((3, n, n))
         x[:, 0], x[:, 1] = -0.0, 0.0
         x[0, 2], x[2, 3] = -0.0, 0.0
-        neumann = _NeumannStep(f, lam)
-        neumann.spec.fill(np.nan)
-        neumann(x, np.empty((n, n // 2 + 1), dtype=complex))
-        cg = _ConjugateGradientStep(f, lam, 1e-8)
-        cg.x, cg.p, cg.spec = x, np.full((3, n, n), np.nan), np.full((3, n, n // 2 + 1), np.nan, dtype=complex)
-        cg._moment()
         c = np.ascontiguousarray(full_grid(f.mandel_grid()).transpose(2, 3, 0, 1))  # (M, M, N, N)
-        dc = c.copy()
-        dc[np.diag_indices(3)] -= lam
-        for got, grid in ((neumann.p, dc), (cg.p, c)):
-            want = np.einsum("abxy,bxy->axy", grid, x)
-            assert not np.signbit(want[:, 0]).any()
-            assert got.tobytes() == want.tobytes()
+        want = np.einsum("abxy,bxy->axy", c, x)
+        assert not np.signbit(want[:, 0]).any()
+        for ref in (select_reference(f, "arithmetic"), select_reference(f, "manual", 0.5)):
+            step = _PotentialStep(f, ref)
+            step.x[:] = x
+            step.p.fill(np.nan)
+            step.spec.fill(np.nan)
+            step._contraction()  # C:x into p
+            assert step.p.tobytes() == want.tobytes()
 
 
 class TestAllocationBudget:
-    # tracemalloc peaks of these 20-iteration solves, in bytes: 722 928 (CG) and 705 528 (fixed point).  Nine planes
+    # tracemalloc peaks of these 20-iteration solves, in bytes: 718 800 (CG) and 718 752 (fixed point).  Nine planes
     # of C in place of six add 98 KB to either; a stored (M, N, N//2 + 1) mandel(n (x) n) in place of n1^2 and n2^2 as
-    # broadcast vectors and one shear plane adds 33 KB; Gamma's scale as three planes in place of one adds 51 KB.
+    # broadcast vectors and one shear plane adds 33 KB; the contraction's products as temporaries add 4 KB.
     @pytest.mark.parametrize("strategy, budget", [("arithmetic", 737_000), ("manual", 720_000)])
     def test_solve_peak_within_budget(self, strategy, budget):
         f = generate_inclusion(StiffTensor4(np.diag([1.0, 2.0, 1.5])), StiffTensor4(np.diag([10.0, 12.0, 8.0])), 0.3, 64)

@@ -88,10 +88,12 @@ def export(rev: str, dest: Path) -> Path:
 def cases(inputs_dir: Path) -> dict[str, list[str]]:
     """The fixed case list, as CLI arguments without --out; writes the seeded inputs into inputs_dir.
 
-    It covers every subcommand, the split loop (N = 512), an odd grid (N = 33), a generated chessboard, all three
-    reference strategies (geometric on the chessboard, manual in spectrum), homogenize's analytic anchor lines
-    for a laminate and a chessboard, and an N = 16 file whose phase table holds a stiff phase that is absent from
-    the map, so that the eigen-range, the Voigt-Reuss fractions and the a-priori bound run over present phases only.
+    It covers every subcommand, the split loop (N = 512) under CG and under the fixed point (the manual rule at
+    the arithmetic lam0 of that file, 5.5), an odd grid (N = 33), a generated chessboard, all three reference
+    strategies (geometric on the chessboard, manual in spectrum and in a divergent chessboard solve that exits 2),
+    homogenize's analytic anchor lines for a laminate and a chessboard, and an N = 16 file whose phase table holds
+    a stiff phase that is absent from the map, so that the eigen-range, the Voigt-Reuss fractions and the
+    a-priori bound run over present phases only.
     """
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
@@ -115,11 +117,16 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
                 "--set", "micro.fraction=0.25", "--set", "micro.axis=1"]
     geometric = ["--set", "reference.strategy=geometric", "--set", "solver.tolerance=1e-8"]
     manual = ["--set", "reference.strategy=manual", "--set", "reference.lambda0=6"]
+    fixed_point = ["--set", "reference.strategy=manual", "--set", "reference.lambda0=5.5", "--set", "solver.tolerance=1e-8"]
+    divergent = ["--set", "micro.generator=chessboard", "--set", "micro.n=8", "--set", "micro.beta=3",
+                 "--set", "reference.strategy=manual", "--set", "reference.lambda0=0.05", "--set", "solver.max_iterations=100"]
     return {
         "solve-512": ["solve", "--set", f"micro.file={inclusion}", "--set", "e0=1,0,0", *pinned],
+        "solve-512-fixed-point": ["solve", "--set", f"micro.file={inclusion}", "--set", "e0=1,0,0", *fixed_point],
         "solve-33": ["solve", *generated, "--set", "e0=1,0.5,0.25", *pinned],
         "solve-chessboard-16": ["solve", *chessboard, "--set", "e0=0,0,1", *pinned],
         "solve-chessboard-16-geometric": ["solve", *chessboard, "--set", "e0=1,0.5,0", *geometric],
+        "solve-chessboard-8-divergent": ["solve", *divergent, "--set", "e0=1,0,0"],
         "homogenize-c100": ["homogenize", "--set", f"micro.file={three_phase}", *pinned],
         "homogenize-laminate-16": ["homogenize", *laminate, *pinned],
         "homogenize-chessboard-16": ["homogenize", *chessboard, *pinned],
