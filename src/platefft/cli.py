@@ -241,7 +241,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
     ]
     _write_text(out, "report.txt", lines)
     if not solution.converged:
-        print("solve did not converge within the iteration budget", file=sys.stderr)
+        print(f"solve did not converge {solution.stopped()}", file=sys.stderr)
         return 2
     return 0
 

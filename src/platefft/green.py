@@ -28,7 +28,7 @@ the solver's preconditioner: on even N it drops the Nyquist rows (a component
 equal to -N/2), where -N/2 and +N/2 alias to one stored mode, which makes the
 odd (shear-coupling) part of the symbol ill-defined and, if kept, injects
 spurious eigenmodes above the physical spectral radius; band-limited fields
-never touch them.  inv_norm4_all holds
+never touch them, and HalfSpectrum.restrict drops them.  inv_norm4_all holds
 every nonzero mode, for weyl_decompose and build_skew_potential, so that a
 solenoidal part has n . g_hat . n = 0 on the Nyquist rows too.
 """
@@ -210,13 +210,13 @@ _worker = None  # the one-thread executor of the first halves, created by the fi
 class HalfSpectrum:
     """Real component-major (M, N, N) fields and their rfft2 half spectrum, in buffers its caller owns.
 
-    The half spectrum over the last two axes has shape (M, N, N//2 + 1): column j holds n2 = j, and
-    n2 = -j is left implicit as its conjugate.  On even grids the last column is the Nyquist column
-    (+N/2 here, -N/2 in fftn), inactive either way.  Holds mandel(n (x) n) and the Parseval weights of
-    the active modes.  Its passes are the ones the solver's step composes: potential (nn w), inverse,
-    forward and contract (n . P_hat . n); Gamma is potential(-contract / (lam0 |n|^4)).  nn holds the three
-    components of mandel(n (x) n) apart: n1^2 and n2^2 as broadcast views of 1-D vectors, and one stored
-    (N, N//2 + 1) plane sqrt(2) n1 n2.
+    The half spectrum over the last two axes has shape (M, N, N//2 + 1): column j holds n2 = j, and n2 = -j is
+    left implicit as its conjugate, except in own_conjugates: column 0 and, on even grids, the Nyquist column
+    (+N/2 here, -N/2 in fftn).  Only this class knows that convention: restrict zeroes a vector off the active
+    modes (n = 0, and the Nyquist row and column of even grids), and inner sums the full spectrum.  Its passes
+    are the ones the solver's step composes: potential (nn w), inverse, forward and contract (n . P_hat . n);
+    Gamma is potential(-contract / (lam0 |n|^4)).  nn holds the three components of mandel(n (x) n) apart:
+    n1^2 and n2^2 as broadcast views of 1-D vectors, and one stored (N, N//2 + 1) plane sqrt(2) n1 n2.
     With _CPUS >= 2 and N >= _SPLIT_MIN_N (no setting), each pass runs on two halves of its independent
     rows or columns, one on a worker thread; bit-identical to one core, as under `taskset -c 0`.
     """
@@ -224,13 +224,9 @@ class HalfSpectrum:
     def __init__(self, grid: FrequencyGrid):
         self.n = grid.n
         self.split = grid.n >= _SPLIT_MIN_N and _CPUS >= 2
-        half = np.s_[:, : grid.n // 2 + 1]
-        nn, shape = grid.mandel_nn[half], grid.inv_norm4[half].shape
+        nn, shape = grid.mandel_nn[:, : grid.n // 2 + 1], (grid.n, grid.n // 2 + 1)
         self.nn = (np.broadcast_to(nn[:, :1, 0].copy(), shape), np.broadcast_to(nn[:1, :, 1].copy(), shape), nn[..., 2].copy())
-        # Parseval multiplicity of the active modes: 1 in the columns that hold
-        # their own conjugates (column 0; column N/2 of even grids), 2 elsewhere
-        col = np.arange(grid.n // 2 + 1)
-        self.weights = np.where((col == 0) | (2 * col == grid.n), 1.0, 2.0) * (grid.inv_norm4[half] > 0)
+        self.own_conjugates = (0, grid.n // 2) if grid.n % 2 == 0 else (0,)
 
     def halves(self, fn, length: int) -> None:
         """fn(lo, hi) on both halves of range(length), one on the worker in the caller's context (np.errstate), else fn(0, length)."""
@@ -272,9 +268,35 @@ class HalfSpectrum:
         """
         self.halves(lambda lo, hi: _contract(coeffs[:, lo:hi], [a[lo:hi] for a in self.nn], s[lo:hi]), self.n)
 
+    def restrict(self, v: np.ndarray) -> None:
+        """Zero a half spectrum v, shape (N, N//2 + 1), off the active modes and make its column 0 a real field's, in place.
+
+        Column 0 stores (n1, 0) and (-n1, 0).  FFT rounding leaves an antisymmetric part there that the inverse pass
+        drops, so A cannot reduce it, and CG diverges once the residual reaches its size.
+        """
+        col = v[:, 0]
+        col[1:] = 0.5 * (col[1:] + col[:0:-1].conj())
+        v[0, 0] = 0.0
+        if self.n % 2 == 0:
+            v[self.n // 2] = 0.0
+            v[:, self.n // 2] = 0.0
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Re sum over the full spectrum of conj(a) b, for half spectra a and b of real fields, shape (N, N//2 + 1).
+
+        A stored mode counts for itself and its conjugate, except in own_conjugates; einsum, not a spinning BLAS dot.
+        """
+        total = 2.0 * float(np.einsum("xy,xy->", a.view(float), b.view(float)))
+        if not math.isfinite(total):  # an overflowed sum less its columns' share would read nan, not inf
+            return total
+        for col in self.own_conjugates:
+            total -= float(np.einsum("xy,xy->", a[:, col : col + 1].view(float), b[:, col : col + 1].view(float)))
+        return total
+
     def equilibrium_residual(self, ds: np.ndarray, j0: np.ndarray) -> float:
-        """sqrt(sum over active n of |n.J_hat.n|^2) / |J_hat(0)|, from ds = +-n.J_hat.n and j0 = J_hat(0)."""
-        num = math.sqrt(float((self.weights * (ds.real**2 + ds.imag**2)).sum()))
+        """sqrt(sum over active n of |n.J_hat.n|^2) / |J_hat(0)|, from ds = +-n.J_hat.n, which it restricts, and j0 = J_hat(0)."""
+        self.restrict(ds)
+        num = math.sqrt(self.inner(ds, ds))
         den = float(np.linalg.norm(j0))
         if den == 0.0:
             return 0.0 if num == 0.0 else math.inf

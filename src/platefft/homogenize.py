@@ -73,10 +73,7 @@ def effective_tensor(
     for j in range(M):
         solution = solve_cell(field, ref, replace(config, e0=SymTensor2.basis(j)))
         if not solution.converged:
-            raise NonConvergenceError(
-                f"load case {j} (E0 = Mandel basis {j}) did not converge within "
-                f"{config.max_iterations} iterations (residual {solution.final_residual:.3e})"
-            )
+            raise NonConvergenceError(f"load case {j} (E0 = Mandel basis {j}) did not converge {solution.stopped()}")
         columns[:, j] = solution.mean_moment.mandel
         cases.append(LoadCase(j, solution.iterations, solution.history))
     sym = 0.5 * (columns + columns.T)

@@ -13,8 +13,8 @@ through the equilibrium residual, the discrete form of D*(C:E) = 0:
 
     residual = sqrt( sum_{n != 0} |n . J_hat(n) . n|^2 ) / |J_hat(0)|,
 
-with J = C:E and the sum restricted to unambiguous frequencies (on even grids
-the Nyquist rows are excluded, matching the modes the grid operator resolves).
+with J = C:E and the sum over the active modes (on even grids the Nyquist rows are excluded) of the rfft2 half
+spectrum, whose storage green.HalfSpectrum alone knows: restrict zeroes a vector off those modes, inner sums it.
 
 On the potentials E = E0 + IFFT(nn w_hat) the fixed point is Richardson iteration on the scalar w_hat,
 preconditioned by the reference medium: w_hat += r / (lam0 |n|^4), with r = -n.J_hat.n on the active modes.
@@ -23,11 +23,10 @@ same cost.  One step class (_PotentialStep) runs both: CG under the arithmetic r
 under the geometric and manual rules, where lam0 is the user's choice of series; the power iteration
 (estimate_spectral_radius) applies its operator too, and one loop holds the stop, history and overflow rules.
 An iteration costs two real FFTs and one contraction n . q_hat . n of q = C:X, X = IFFT(nn d) for the step d;
-the residual, delta (the RMS of E_k - E_{k-1}) and the energy follow from it and from inner products over the
-half spectrum.  The loop holds two (M, N, N) fields, the six distinct (N, N) planes of the symmetric C
-(CoefficientField.mandel_grid), one (M, N, N//2 + 1) half spectrum and three (N, N//2 + 1) vectors.
-With >= 2 usable CPUs and N >= green._SPLIT_MIN_N, the contractions and the FFTs run on two threads,
-with results bit-identical to one core (`taskset -c 0`); there is no setting.
+the residual, delta (the RMS of E_k - E_{k-1}) and the energy follow from it and from HalfSpectrum.inner.
+The loop holds two (M, N, N) fields, the six distinct (N, N) planes of the symmetric C (CoefficientField.mandel_grid),
+one (M, N, N//2 + 1) half spectrum and three (N, N//2 + 1) vectors.  With >= 2 usable CPUs and
+N >= green._SPLIT_MIN_N, the contractions and the FFTs run on two threads, bit-identical to one core (`taskset -c 0`).
 The reports' series_factor (apriori_bound) is the paper's trace-reference estimate.
 """
 from __future__ import annotations
@@ -117,6 +116,10 @@ class CellSolution:
     energy: float
     mean_moment: SymTensor2
 
+    def stopped(self) -> str:
+        """Where the loop stopped, for a non-convergence message: 'after k iteration(s) (residual r)'."""
+        return f"after {self.iterations} iteration{'s' * (self.iterations != 1)} (residual {self.final_residual:.3e})"
+
 
 def select_reference(
     field: CoefficientField, strategy: str, lambda0: float | None = None
@@ -200,7 +203,6 @@ class _PotentialStep:
     arithmetic rule it runs CG: alpha = <r, z> / <d, A d> and d = z + beta d.  CG's iterates do not depend on
     lam0, but lam0 keeps d and A d at the size of r, as the fixed point's vectors are, for coefficients near
     the ends of the float range.  One iteration is one application of A: _curvature, then _contraction.
-    Inner products sum the half spectrum with its Parseval multiplicities, by einsum on the calling thread.
     Built once per solve: C is mandel_grid's six planes themselves, and the step holds X, C:X and one half
     spectrum, whose planes hold q and z in turn and the products of C:X while it is free; iterate adds the
     half-spectrum vectors w_hat, r and d.
@@ -222,7 +224,6 @@ class _PotentialStep:
         self.precondition = grid.inv_norm4[:, : n // 2 + 1] / ref.lambda0
         del grid  # freed before the buffers below: held with them, its tables raise the solve's peak by 60 KB at N = 64
         self.conjugate = ref.strategy == "arithmetic"
-        self.own_conjugates = (0, n // 2) if n % 2 == 0 else (0,)
         self.stiffness_exponent = math.frexp(ref.mu_max)[1]
         # One array each: at N = 512 a single (2, M, N, N) block and a single (3, N, N//2 + 1) block, which do
         # not fit the holes the freed FrequencyGrid leaves, raised the solve's peak RSS by 5 MiB.
@@ -247,17 +248,6 @@ class _PotentialStep:
         half.contract(self.spec, self.spec[0])
         return self.spec[0]
 
-    def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Re sum over the full spectrum of conj(a) b, for half spectra a and b of real fields, one of them 0 off the active modes.
-
-        A stored mode stands for itself and its conjugate, except in the columns that hold their own conjugates
-        (0, and N/2 of even N); counting those columns once more than the rest needs no (N, N//2 + 1) weight table.
-        """
-        total = 2.0 * float(np.einsum("xy,xy->", a.view(float), b.view(float)))
-        for col in self.own_conjugates:
-            total -= float(np.einsum("xy,xy->", a[:, col : col + 1].view(float), b[:, col : col + 1].view(float)))
-        return total
-
     def _settle(self) -> float:
         """E = E0 + IFFT(nn w_hat) into x and C:E into p, with r and j0 formed from them; returns their residual.
 
@@ -267,7 +257,6 @@ class _PotentialStep:
         self.x += self.e0[:, None, None]
         np.negative(self._contraction(), out=self.r)
         self.j0[:] = self.q0
-        _conjugate_symmetric(self.r)
         self.fields_residual = self.half.equilibrium_residual(self.r, self.j0)
         return self.fields_residual
 
@@ -292,14 +281,14 @@ class _PotentialStep:
             return residual, float(np.ldexp(delta, scale)), float(np.ldexp(energy0 + 2.0 * phi / n**4, 2 * scale))
 
         np.multiply(r, self.precondition, out=d)
-        rz = self._dot(r, d)  # 0 for a homogeneous cell: d = 0 and the first step leaves w_hat = 0, E = E0
+        rz = half.inner(r, d)  # 0 for a homogeneous cell: d = 0 and the first step leaves w_hat = 0, E = E0
         phi, floor = 0.0, math.inf
         while True:
             self.fields_residual = None
             self._curvature(d)
             size = math.sqrt(_inner(self.x, self.x) / (n * n))
             q, scratch = self._contraction(), self.spec[1]
-            dq, dr = self._dot(d, q), self._dot(d, r)
+            dq, dr = half.inner(d, q), half.inner(d, r)
             if self.conjugate:
                 alpha = rz / dq if dq else 0.0  # dq = 0: A d vanishes, and the step below is the last
             else:
@@ -308,7 +297,6 @@ class _PotentialStep:
             w += scratch
             q *= alpha
             r -= q
-            _conjugate_symmetric(r)
             j0 += alpha * self.q0
             phi += alpha * (0.5 * alpha * dq - dr)
             residual = half.equilibrium_residual(r, j0)
@@ -322,7 +310,7 @@ class _PotentialStep:
                 floor = residual
             z = scratch
             np.multiply(r, self.precondition, out=z)
-            rz_new = self._dot(r, z)
+            rz_new = half.inner(r, z)
             if not (dq and rz_new >= sys.float_info.min):  # r = 0, or <r, z> is subnormal and its ratios noise
                 return
             if self.conjugate and not restart:
@@ -338,16 +326,6 @@ class _PotentialStep:
         for a in (self.x, self.p):
             np.ldexp(a, self.scale, out=a)
         return self.x, self.p, SymTensor2(self.p.sum(axis=(1, 2)) / self.half.n**2), residual
-
-
-def _conjugate_symmetric(v: np.ndarray) -> None:
-    """Make column 0 of a half spectrum v, shape (N, N//2 + 1), conjugate-symmetric in place, as a real field's is.
-
-    Column 0 stores both (n1, 0) and (-n1, 0).  FFT rounding leaves an antisymmetric part there that no real field
-    has: the inverse pass drops it, so A cannot reduce it, and CG diverges once the residual reaches its size.
-    """
-    col = v[:, 0]
-    col[1:] = 0.5 * (col[1:] + col[:0:-1].conj())
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -425,7 +403,7 @@ def estimate_spectral_radius(
             q = step._contraction()
             q *= step.precondition
             np.subtract(q, v, out=v)  # B x, as a potential
-            _conjugate_symmetric(v)
+            step.half.restrict(v)
             step._curvature(v)
             r = math.sqrt(_inner(x, x) / (n * n))  # |B x|
             if not math.isfinite(r):

@@ -641,6 +641,7 @@ class TestErrorBoundary:
         assert outcome(tmp_path / "split") == unsplit
         code, err, report = unsplit
         assert code == 2 and len(err.splitlines()) == 1
+        assert "did not converge after 1 iteration (residual " in err  # not the budget: the loop stopped at once
         if command == "solve":
             assert report["converged"] == "false"
             values = [report["residual"], report["energy"], *report["mean_moment"].split()]

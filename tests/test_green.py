@@ -427,6 +427,11 @@ class TestDiracSobolevSums:
         want = 2 * ((1 + 4 * math.pi**2) ** -1 + (1 + 16 * math.pi**2) ** -1) / (2 * math.pi)
         assert got == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("d, cutoff, message", [(0, 2, "dimension must be >= 1"), (2, 0, "cutoff must be >= 1")])
+    def test_lattice_without_modes_rejected(self, d, cutoff, message):
+        with pytest.raises(ValueError, match=message):
+            dirac_sobolev_partial_sum(-1.0, d, cutoff)
+
 
 def norm4_of(grid):
     """|n|^4 per mode, from the frequency components."""
@@ -529,12 +534,42 @@ class TestGreenOperator:
             j_hat = forward(op, np.moveaxis(j, -1, 0))
             assert op.equilibrium_residual(contract(op, j_hat), j_hat[:, 0, 0]) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_inner_is_the_full_spectrum_sum(self, n):
+        # on even N the Nyquist column holds its own conjugates, as column 0 does: each counts once
+        rng = np.random.default_rng(750 + n)
+        op = HalfSpectrum(FrequencyGrid(2, n))
+        a, b = rng.standard_normal((2, n, n))
+        want = float(np.real(np.conj(np.fft.fft2(a)) * np.fft.fft2(b)).sum())
+        assert op.inner(np.fft.rfft2(a), np.fft.rfft2(b)) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_restrict_keeps_the_active_modes_of_a_real_field(self, n):
+        # column 0 made conjugate-symmetric; the zero mode and, on even N, the Nyquist row and column zeroed
+        rng = np.random.default_rng(760 + n)
+        op = HalfSpectrum(FrequencyGrid(2, n))
+        v = rng.standard_normal((n, n // 2 + 1)) + 1j * rng.standard_normal((n, n // 2 + 1))
+        want = np.fft.rfft2(np.fft.irfft2(v, s=(n, n)))  # the half spectrum of the real field v stands for
+        want[0, 0] = 0.0
+        if n % 2 == 0:
+            want[n // 2] = want[:, n // 2] = 0.0
+        op.restrict(v)
+        np.testing.assert_allclose(v, want, rtol=0, atol=1e-14)
+
     def test_residual_of_a_zero_mean_moment_is_zero_or_infinite(self):
         op = HalfSpectrum(FrequencyGrid(2, 4))
         ds = np.zeros((4, 3), dtype=complex)
         assert op.equilibrium_residual(ds, np.zeros(3)) == 0.0
         ds[1, 1] = 1.0
         assert op.equilibrium_residual(ds, np.zeros(3)) == math.inf
+
+    def test_overflowing_residual_is_infinite(self):
+        # a column-0 mode near 1e200 overflows both the sum and the share of the column counted once: inf, not nan
+        op = HalfSpectrum(FrequencyGrid(2, 4))
+        ds = np.zeros((4, 3), dtype=complex)
+        ds[1, 0] = ds[3, 0] = 1e200
+        with np.errstate(over="ignore"):  # as in the solver's loop, where a divergent series overflows
+            assert op.equilibrium_residual(ds, np.ones(3)) == math.inf
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_half_spectrum_gamma_matches_full_spectrum(self, n):
@@ -549,21 +584,25 @@ class TestGreenOperator:
 
     def test_warm_contract_allocates_less_than_a_plane(self):
         # numpy buffers the broadcast n1^2 and n2^2 operands in up to 8192 elements (np.getbufsize()), a whole plane
-        # on grids below N = 128; at N = 192 a plane holds 18 624, so only a plane-sized temporary exceeds it
+        # on grids below N = 128; at N = 192 a plane holds 18 624, so only a plane-sized temporary exceeds it.  The
+        # warm residual is held to the same budget: restrict's column-0 temporaries hold N values, where a sum over a
+        # weight table formed four (N, N//2 + 1) planes
         n = 192
         op = HalfSpectrum(FrequencyGrid(2, n))
         rng = np.random.default_rng(1400)
         shape = (3, n, n // 2 + 1)
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         s = np.empty(shape[1:], dtype=complex)
-        op.contract(coeffs, s)  # first-call allocations stay out of the measurement
-        tracemalloc.start()
-        try:
-            op.contract(coeffs, s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < s.nbytes
+        j0 = rng.standard_normal(3) + 0j
+        for call in (lambda: op.contract(coeffs, s), lambda: op.equilibrium_residual(s, j0)):
+            call()  # first-call allocations stay out of the measurement
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < s.nbytes
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_split_passes_equal_unsplit_bit_for_bit(self, n, monkeypatch):

@@ -149,8 +149,17 @@ class TestDoubleContract:
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SymTensor2(np.zeros(6))
+        cases = [
+            (SymTensor2, np.zeros(6), r"shape \(3,\)"),
+            (StiffTensor4, np.eye(2), r"shape \(3, 3\)"),
+            (sym_to_mandel, np.zeros((3, 3)), "2x2"),
+            (mandel_to_sym, np.zeros(2), "component count 2"),
+            (stiff_to_mandel, np.zeros((2, 2, 2)), r"\(2,2,2,2\)"),
+            (mandel_to_stiff, np.eye(2), "3x3"),
+        ]
+        for reject, value, message in cases:
+            with pytest.raises(ValueError, match=message):
+                reject(value)
 
 
 class TestEigenvalues:

@@ -136,6 +136,8 @@ class TestInclusion:
         for r in (0.0, 0.5, -0.1, 0.7):
             with pytest.raises(ValueError, match="radius"):
                 generate_inclusion(scalar_phase(1.0), scalar_phase(2.0), r, 16)
+        with pytest.raises(ValueError, match="N >= 2"):  # a valid radius on a grid below two points
+            generate_inclusion(scalar_phase(1.0), scalar_phase(2.0), 0.25, 1)
 
 
 class TestEigenRange:

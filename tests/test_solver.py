@@ -110,6 +110,10 @@ class TestSeriesFactor:
         assert math.isinf(series_factor(1.0))
         assert math.isinf(series_factor(1.5))
 
+    def test_negative_ratio_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            series_factor(-0.5)
+
     def test_trace_reference_always_flags(self):
         # dC keeps the full coefficient on trace-free directions, so q >= 1
         # for every elliptic field under the scalar trace reference.
@@ -225,6 +229,11 @@ class TestSolveCell:
         s = solve(f, [0.0, 0.0, 0.0])
         assert s.converged and s.iterations == 0
         assert not s.curvature.any() and not s.moment.any()
+
+    def test_config_without_load_rejected(self):
+        f = generate_chessboard(1.0 * ID, 3.0 * ID, 8)
+        with pytest.raises(ValueError, match="no macroscopic curvature"):
+            solve_cell(f, select_reference(f, "arithmetic"), SolverConfig())
 
     def test_laminate_matches_piecewise_oracle(self):
         f = generate_laminate(1.0 * ID, 3.0 * ID, 0.5, 0, 64)
@@ -541,7 +550,7 @@ class TestStiffnessProduct:
 
 
 class TestAllocationBudget:
-    # tracemalloc peaks of these 20-iteration solves, in bytes: 718 800 (CG) and 718 752 (fixed point).  Nine planes
+    # tracemalloc peaks of these 20-iteration solves, in bytes: 701 776 (CG) and 701 728 (fixed point).  Nine planes
     # of C in place of six add 98 KB to either; a stored (M, N, N//2 + 1) mandel(n (x) n) in place of n1^2 and n2^2 as
     # broadcast vectors and one shear plane adds 33 KB; the contraction's products as temporaries add 4 KB.
     @pytest.mark.parametrize("strategy, budget", [("arithmetic", 737_000), ("manual", 720_000)])
