@@ -20,17 +20,14 @@ mandel(n (x) n): the Green operator of lam0 * Lap^2, which both C0 = lam0 * Id
 and the paper's trace reference xi -> lam0 * Tr(xi) * I give.  The zero
 frequency is annihilated (zero-mean convention).
 
-One kernel, _contract, forms s = n . P_hat . n.  On the full spectrum _project
-multiplies nn s by a 1/|n|^4 table of FrequencyGrid, 0 off its mode set; on the
-half spectrum the solver composes Gamma from HalfSpectrum's passes as
-potential(-s / (lam0 |n|^4)).  inv_norm4 holds the resolved modes, for Gamma and
-the solver's preconditioner: on even N it drops the Nyquist rows (a component
-equal to -N/2), where -N/2 and +N/2 alias to one stored mode, which makes the
-odd (shear-coupling) part of the symbol ill-defined and, if kept, injects
-spurious eigenmodes above the physical spectral radius; band-limited fields
-never touch them, and HalfSpectrum.restrict drops them.  inv_norm4_all holds
-every nonzero mode, for weyl_decompose and build_skew_potential, so that a
-solenoidal part has n . g_hat . n = 0 on the Nyquist rows too.
+One kernel, _contract, forms s = n . P_hat . n.  On the full spectrum _project multiplies nn s by a 1/|n|^4
+table, 0 off its mode set; on the half spectrum the solver composes Gamma from HalfSpectrum's passes as
+potential(-s / (lam0 |n|^4)).  FrequencyGrid forms both tables on the columns each spectrum stores.  The
+resolved modes serve Gamma and the solver's preconditioner: on even N they drop the Nyquist rows (a component
+equal to -N/2), where -N/2 and +N/2 alias to one stored mode, which makes the odd (shear-coupling) part of the
+symbol ill-defined and, if kept, injects spurious eigenmodes above the physical spectral radius; band-limited
+fields never touch them, and HalfSpectrum.restrict drops them.  Every nonzero mode serves weyl_decompose and
+build_skew_potential, so that a solenoidal part has n . g_hat . n = 0 on the Nyquist rows too.
 """
 from __future__ import annotations
 
@@ -79,17 +76,17 @@ def green_evaluate(y, cutoff: int) -> float:
     return float((coeff * np.exp(2j * np.pi * phase)).sum().real)
 
 
-def _dyad(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    """n (x) n per mode, shape (..., 2, 2), from the frequency components."""
-    nvec = np.stack([n1, n2], axis=-1)
+def _dyad(f: np.ndarray) -> np.ndarray:
+    """n (x) n per mode, shape (N, N, 2, 2), from the frequency vector f of an N x N grid."""
+    nvec = np.stack(np.meshgrid(f, f, indexing="ij"), axis=-1)
     return nvec[..., :, None] * nvec[..., None, :]
 
 
 class FrequencyGrid:
-    """Integer DFT frequencies for an N x N grid (the lattice dimension d must be 2), with cached symbol arrays.
+    """The integer DFT frequencies freqs of an N x N grid (the lattice dimension d must be 2), and its per-mode tables.
 
-    inv_norm4 is 1/|n|^4 on the resolved modes (no Nyquist rows on even N), for Gamma and the solvers;
-    inv_norm4_all is 1/|n|^4 on every nonzero mode, for weyl_decompose and build_skew_potential; both 0 elsewhere.
+    Each table is formed on request for the first cols columns, (N, cols): N for the full spectrum, N//2 + 1 for
+    the half spectrum; the grid holds no table itself.
     """
 
     def __init__(self, d: int, n: int):
@@ -98,14 +95,21 @@ class FrequencyGrid:
         if n < 2:
             raise ValueError(f"grid must have N >= 2 points per axis, got {n}")
         self.n = n
-        f = np.rint(np.fft.fftfreq(n) * n).astype(int)
-        n1 = np.broadcast_to(f[:, None], (n, n)).astype(float)
-        n2 = np.broadcast_to(f[None, :], (n, n)).astype(float)
-        self.components = (n1, n2)
-        self.mandel_nn = np.stack([n1 * n1, n2 * n2, SQRT2 * (n1 * n2)], axis=-1)  # mandel(n (x) n)
+        self.freqs = np.rint(np.fft.fftfreq(n) * n)  # the integer frequencies 0, 1, ..., -1, as floats
+
+    def mandel_nn(self, cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three planes of mandel(n (x) n): n1^2 and n2^2 as broadcast views of 1-D vectors, and one stored sqrt(2) n1 n2."""
+        n1, n2 = self.freqs[:, None], self.freqs[None, :cols]
+        return np.broadcast_arrays(n1 * n1, n2 * n2, SQRT2 * (n1 * n2))
+
+    def inv_norm4(self, cols: int, resolved: bool = True) -> np.ndarray:
+        """1/|n|^4 on the resolved modes (no Nyquist rows on even N) or, with resolved False, on every nonzero mode; 0 elsewhere."""
+        n1, n2 = self.freqs[:, None], self.freqs[None, :cols]
         norm4 = (n1**2 + n2**2) ** 2
-        self.inv_norm4_all = np.divide(1.0, norm4, out=np.zeros_like(norm4), where=norm4 > 0)
-        self.inv_norm4 = np.where((n1 == -n / 2) | (n2 == -n / 2), 0.0, self.inv_norm4_all)  # Nyquist rows, even N only
+        keep = norm4 > 0
+        if resolved:
+            keep &= (n1 != -self.n / 2) & (n2 != -self.n / 2)
+        return np.divide(1.0, norm4, out=np.zeros_like(norm4), where=keep)
 
 
 class SpectralField:
@@ -160,10 +164,10 @@ def _contract(coeffs: np.ndarray, nn, s: np.ndarray, work: np.ndarray | None = N
         s += product
 
 
-def _project(coeffs: np.ndarray, grid: FrequencyGrid, inv_norm4: np.ndarray, c: float) -> np.ndarray:
-    """c nn s / |n|^4 on the modes of the table inv_norm4, s = n.P_hat.n, of a full (N, N, M) spectrum it leaves as it is."""
+def _project(coeffs: np.ndarray, grid: FrequencyGrid, c: float, resolved: bool) -> np.ndarray:
+    """c nn s / |n|^4 on the modes of grid.inv_norm4(N, resolved), s = n.P_hat.n, of a full (N, N, M) spectrum it leaves as it is."""
     out, s = np.empty(coeffs.shape, dtype=complex), np.empty(coeffs.shape[:-1], dtype=complex)
-    planes, nn, table = np.moveaxis(out, -1, 0), np.moveaxis(grid.mandel_nn, -1, 0), inv_norm4 * c
+    planes, nn, table = np.moveaxis(out, -1, 0), grid.mandel_nn(grid.n), grid.inv_norm4(grid.n, resolved) * c
     _contract(np.moveaxis(coeffs, -1, 0), nn, s, np.empty_like(s))
     for a in range(M):
         np.multiply(nn[a], table, out=planes[a])
@@ -187,7 +191,7 @@ def apply_gamma_coeffs(p_hat: np.ndarray, grid: FrequencyGrid, lambda0: float) -
 
     Modes off the resolved set (zero frequency; Nyquist rows on even grids) map to zero.
     """
-    return _project(p_hat, grid, grid.inv_norm4, _gamma_scale(lambda0))
+    return _project(p_hat, grid, _gamma_scale(lambda0), resolved=True)
 
 
 def gamma_apply(field: SpectralField, lambda0: float) -> SpectralField:
@@ -215,8 +219,7 @@ class HalfSpectrum:
     (+N/2 here, -N/2 in fftn).  Only this class knows that convention: restrict zeroes a vector off the active
     modes (n = 0, and the Nyquist row and column of even grids), and inner sums the full spectrum.  Its passes
     are the ones the solver's step composes: potential (nn w), inverse, forward and contract (n . P_hat . n);
-    Gamma is potential(-contract / (lam0 |n|^4)).  nn holds the three components of mandel(n (x) n) apart:
-    n1^2 and n2^2 as broadcast views of 1-D vectors, and one stored (N, N//2 + 1) plane sqrt(2) n1 n2.
+    Gamma is potential(-contract / (lam0 |n|^4)).  nn is the grid's mandel(n (x) n) on the N//2 + 1 columns.
     With _CPUS >= 2 and N >= _SPLIT_MIN_N (no setting), each pass runs on two halves of its independent
     rows or columns, one on a worker thread; bit-identical to one core, as under `taskset -c 0`.
     """
@@ -224,8 +227,7 @@ class HalfSpectrum:
     def __init__(self, grid: FrequencyGrid):
         self.n = grid.n
         self.split = grid.n >= _SPLIT_MIN_N and _CPUS >= 2
-        nn, shape = grid.mandel_nn[:, : grid.n // 2 + 1], (grid.n, grid.n // 2 + 1)
-        self.nn = (np.broadcast_to(nn[:, :1, 0].copy(), shape), np.broadcast_to(nn[:1, :, 1].copy(), shape), nn[..., 2].copy())
+        self.nn = grid.mandel_nn(grid.n // 2 + 1)
         self.own_conjugates = (0, grid.n // 2) if grid.n % 2 == 0 else (0,)
 
     def halves(self, fn, length: int) -> None:
@@ -312,7 +314,7 @@ def weyl_decompose(field: SpectralField) -> tuple[SpectralField, SpectralField, 
     L2-orthogonal and reconstruct the input exactly.
     """
     grid = FrequencyGrid(2, field.n)
-    pot = _project(field.coeffs, grid, grid.inv_norm4_all, 1.0)
+    pot = _project(field.coeffs, grid, 1.0, resolved=False)
     sol = field.coeffs - pot
     sol[0, 0] = 0.0
     return SpectralField(pot), SpectralField(sol), field.mean()
@@ -332,16 +334,17 @@ def build_skew_potential(field: SpectralField) -> np.ndarray:
     """
     tol = 1e-10
     grid = FrequencyGrid(2, field.n)
+    inv_norm4 = grid.inv_norm4(field.n, resolved=False)
     scale = max(float(np.abs(field.coeffs).max()), 1e-300)
     contraction = np.empty(field.coeffs.shape[:-1], dtype=complex)
-    _contract(np.moveaxis(field.coeffs, -1, 0), np.moveaxis(grid.mandel_nn, -1, 0), contraction, np.empty_like(contraction))
-    if (np.abs(contraction) * np.sqrt(grid.inv_norm4_all)).max() > tol * scale:
+    _contract(np.moveaxis(field.coeffs, -1, 0), grid.mandel_nn(field.n), contraction, np.empty_like(contraction))
+    if (np.abs(contraction) * np.sqrt(inv_norm4)).max() > tol * scale:
         raise ValueError("input is not solenoidal: n . g_hat(n) . n != 0")
     if np.abs(field.coeffs[0, 0]).max() > tol * scale:
         raise ValueError("input has a nonzero mean")
     g = mandel_to_sym(field.coeffs)  # g^{ij}_n
-    outer = _dyad(*grid.components)  # n_i n_j
-    factor = grid.inv_norm4_all * (-1.0 / (4.0 * np.pi**2))
+    outer = _dyad(grid.freqs)  # n_i n_j
+    factor = inv_norm4 * (-1.0 / (4.0 * np.pi**2))
     # index order (s, h, i, j): -n_s n_h g^{ij} + g^{sh} n_i n_j, per mode
     term1 = outer[..., :, :, None, None] * g[..., None, None, :, :]
     term2 = g[..., :, :, None, None] * outer[..., None, None, :, :]
@@ -353,9 +356,8 @@ def reconstruct_from_skew(skew: np.ndarray) -> SpectralField:
 
     Exact inverse of build_skew_potential on its admissible inputs.
     """
-    grid = FrequencyGrid(2, skew.shape[0])
     # D* on the mode: (2 pi i)^2 n_i n_j Gamma^{sh}_{ij}
-    dense = -4.0 * np.pi**2 * np.einsum("xyshij,xyij->xysh", skew, _dyad(*grid.components).astype(complex))
+    dense = -4.0 * np.pi**2 * np.einsum("xyshij,xyij->xysh", skew, _dyad(FrequencyGrid(2, skew.shape[0]).freqs))
     return SpectralField(sym_to_mandel(dense))
 
 

@@ -203,9 +203,9 @@ class _PotentialStep:
     arithmetic rule it runs CG: alpha = <r, z> / <d, A d> and d = z + beta d.  CG's iterates do not depend on
     lam0, but lam0 keeps d and A d at the size of r, as the fixed point's vectors are, for coefficients near
     the ends of the float range.  One iteration is one application of A: _curvature, then _contraction.
-    Built once per solve: C is mandel_grid's six planes themselves, and the step holds X, C:X and one half
-    spectrum, whose planes hold q and z in turn and the products of C:X while it is free; iterate adds the
-    half-spectrum vectors w_hat, r and d.
+    Built once per solve: C is mandel_grid's six planes themselves, and the step holds M^-1 on the half spectrum's
+    columns, X, C:X and one half spectrum, whose planes hold q and z in turn and the products of C:X while it is
+    free; iterate adds the half-spectrum vectors w_hat, r and d.
 
     The loop updates r and J_hat(0) by recursion, which rounding parts from the fields' own below about
     1e-12; so once the recursive residual meets the tolerance, _settle forms the fields and their residual,
@@ -221,12 +221,10 @@ class _PotentialStep:
         self.c = field.mandel_grid()
         grid = FrequencyGrid(2, n)
         self.half = HalfSpectrum(grid)
-        self.precondition = grid.inv_norm4[:, : n // 2 + 1] / ref.lambda0
-        del grid  # freed before the buffers below: held with them, its tables raise the solve's peak by 60 KB at N = 64
+        self.precondition = grid.inv_norm4(n // 2 + 1) / ref.lambda0
         self.conjugate = ref.strategy == "arithmetic"
         self.stiffness_exponent = math.frexp(ref.mu_max)[1]
-        # One array each: at N = 512 a single (2, M, N, N) block and a single (3, N, N//2 + 1) block, which do
-        # not fit the holes the freed FrequencyGrid leaves, raised the solve's peak RSS by 5 MiB.
+        # two arrays, not one (2, M, N, N) block, which read 0.1-0.2 MiB more peak RSS in a solve at N = 512
         self.x, self.p = np.empty((M, n, n)), np.empty((M, n, n))  # X = IFFT(nn d) and C:X; E and C:E at the end
         self.spec = np.empty((M, n, n // 2 + 1), dtype=complex)
         self.q0 = np.empty(M, dtype=complex)  # (C:X)^(0), which the contraction overwrites
@@ -407,7 +405,8 @@ def estimate_spectral_radius(
             step._curvature(v)
             r = math.sqrt(_inner(x, x) / (n * n))  # |B x|
             if not math.isfinite(r):
-                raise ValueError(f"the power iteration overflows: lambda0 {ref.lambda0:g} is too large")
+                why = "too large" if ref.lambda0 >= ref.mu_max else f"too far below the stiffness {ref.mu_max:g}"
+                raise ValueError(f"the power iteration overflows: lambda0 {ref.lambda0:g} is {why}")
             if r < 1e-13:
                 return 0.0
             ratios.append(r)

@@ -63,10 +63,15 @@ DIVERGENT = (
     "--set", "solver.max_iterations=100", "--set", "e0=1,0,0",
 )
 
-OVERFLOWING = {
-    "solve-e0": ("solve", ["--set", "e0=1e308,0,0"]),
-    "solve-e0-squared": ("solve", ["--set", "e0=1e155,0,0"]),
-    "spectrum-lambda0": ("spectrum", ["--set", "reference.strategy=manual", "--set", "reference.lambda0=1e308"]),
+OVERFLOWING = {  # the command, its load and the error it prints
+    "solve-e0": ("solve", ["--set", "e0=1e308,0,0"],
+                 "the first iteration overflows: e0 [1e+308, 0.0, 0.0] is too large"),
+    "solve-e0-squared": ("solve", ["--set", "e0=1e155,0,0"],
+                         "the first iteration overflows: e0 [1e+155, 0.0, 0.0] is too large"),
+    "spectrum-lambda0": ("spectrum", ["--set", "reference.strategy=manual", "--set", "reference.lambda0=1e308"],
+                         "the power iteration overflows: lambda0 1e+308 is too large"),
+    "spectrum-lambda0-tiny": ("spectrum", ["--set", "reference.strategy=manual", "--set", "reference.lambda0=1e-160"],
+                              "the power iteration overflows: lambda0 1e-160 is too far below the stiffness 3"),
 }
 
 HUGE_REFERENCE = {
@@ -615,12 +620,12 @@ class TestErrorBoundary:
         assert err == "error: unknown strategy 'bogus'\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, load", OVERFLOWING.values(), ids=OVERFLOWING.keys())
-    def test_overflowing_first_step_exits_1(self, tmp_path, capsys, command, load):
+    @pytest.mark.parametrize("command, load, message", OVERFLOWING.values(), ids=OVERFLOWING.keys())
+    def test_overflowing_first_step_exits_1(self, tmp_path, capsys, command, load, message):
         out = tmp_path / "run"
         err = run_rejected(capsys, command, "--out", str(out), *CHESSBOARD, *load)
         assert len(err.splitlines()) == 1
-        assert "overflows" in err
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, load", HUGE_REFERENCE.values(), ids=HUGE_REFERENCE.keys())
@@ -651,7 +656,7 @@ class TestErrorBoundary:
         # np.errstate is per context: the worker's halves must run under the caller's
         def outcomes():
             errors = [run_rejected(capsys, command, "--out", str(tmp_path / "run"), *CHESSBOARD, *load)
-                      for command, load in OVERFLOWING.values()]
+                      for command, load, _ in OVERFLOWING.values()]
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = run("solve", "--out", str(tmp_path / "divergent"), *DIVERGENT)

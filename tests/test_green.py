@@ -309,7 +309,7 @@ class TestModeSets:
         mode = (k % n, n // 2) if column else (n // 2, k % n)
         _, sol0, _ = weyl_decompose(SpectralField.from_real(np.random.default_rng(seed).standard_normal((n, n, 3))))
         nyquist = np.zeros_like(sol0.coeffs)
-        nyquist[mode] = amp * grid.mandel_nn[mode]
+        nyquist[mode] = [amp * plane[mode] for plane in grid.mandel_nn(n)]
         field = SpectralField(sol0.coeffs + nyquist)
         pot, sol, _ = weyl_decompose(field)
         atol = 1e-13 * np.abs(field.coeffs).max()
@@ -434,8 +434,8 @@ class TestDiracSobolevSums:
 
 
 def norm4_of(grid):
-    """|n|^4 per mode, from the frequency components."""
-    n1, n2 = grid.components
+    """|n|^4 per mode of the full spectrum, from the frequency vector."""
+    n1, n2 = np.meshgrid(grid.freqs, grid.freqs, indexing="ij")
     return (n1**2 + n2**2) ** 2
 
 
@@ -451,39 +451,55 @@ class TestFrequencyGrid:
         zeros = (norm4_of(grid) == 0).sum()
         assert zeros == 1
         lo, hi = -(n // 2), (n + 1) // 2 - 1
-        for comp in grid.components:
-            assert comp.min() == lo and comp.max() == hi
+        assert grid.freqs.min() == lo and grid.freqs.max() == hi
 
     def test_even_grid_deactivates_nyquist_rows(self):
         grid = FrequencyGrid(2, 8)
-        n1, n2 = grid.components
+        n1, n2 = np.meshgrid(grid.freqs, grid.freqs, indexing="ij")
         nyq = (n1 == -4) | (n2 == -4)
         norm4 = norm4_of(grid)
-        assert np.all(grid.inv_norm4[nyq] == 0)
-        assert np.all(grid.inv_norm4[(~nyq) & (norm4 > 0)] > 0)
-        np.testing.assert_array_equal(grid.inv_norm4_all[norm4 > 0], 1.0 / norm4[norm4 > 0])
-        assert grid.inv_norm4_all[0, 0] == 0
+        resolved, every = grid.inv_norm4(8), grid.inv_norm4(8, resolved=False)
+        assert np.all(resolved[nyq] == 0)
+        assert np.all(resolved[(~nyq) & (norm4 > 0)] > 0)
+        np.testing.assert_array_equal(every[norm4 > 0], 1.0 / norm4[norm4 > 0])
+        assert every[0, 0] == 0
 
     def test_odd_grid_keeps_all_nonzero_modes(self):
         grid = FrequencyGrid(2, 9)
-        assert (grid.inv_norm4 > 0).sum() == 9 * 9 - 1
-        np.testing.assert_array_equal(grid.inv_norm4, grid.inv_norm4_all)
+        assert (grid.inv_norm4(9) > 0).sum() == 9 * 9 - 1
+        np.testing.assert_array_equal(grid.inv_norm4(9), grid.inv_norm4(9, resolved=False))
+
+    def test_half_spectrum_tables_are_the_first_columns_of_the_full_ones(self):
+        for n in [*range(2, 41), 512]:
+            grid, cols = FrequencyGrid(2, n), n // 2 + 1
+            pairs = [*zip(grid.mandel_nn(cols), grid.mandel_nn(n))]
+            pairs += [(grid.inv_norm4(cols, resolved), grid.inv_norm4(n, resolved)) for resolved in (True, False)]
+            for half, full in pairs:
+                assert half.shape == (n, cols) and half.dtype == full.dtype, n
+                assert half.tobytes() == full[:, :cols].tobytes(), n
+
+    @pytest.mark.parametrize("n", [2, 9, 64])
+    def test_grid_holds_no_array_beyond_its_frequencies(self, n):
+        # the tables are formed on request and kept by their callers, so the grid holds N numbers, not N^2
+        grid = FrequencyGrid(2, n)
+        held = [a for v in vars(grid).values() for a in (v if isinstance(v, tuple) else (v,))]
+        assert max(a.size for a in held if isinstance(a, np.ndarray)) <= n
 
     # at N = 16 the modes (3, 7) and (6, 7) give a shear entry that sqrt(2) * n1 * n2 rounds differently
     @pytest.mark.parametrize("n", [8, 9, 16])
     def test_mandel_nn_is_the_mandel_codec_of_n_outer_n(self, n):
         grid = FrequencyGrid(2, n)
-        n1, n2 = grid.components
+        planes = grid.mandel_nn(n)
         for i in range(n):
             for j in range(n):
-                mode = np.array([n1[i, j], n2[i, j]])
-                np.testing.assert_array_equal(grid.mandel_nn[i, j], sym_to_mandel(np.outer(mode, mode)))
+                mode = np.array([grid.freqs[i], grid.freqs[j]])
+                np.testing.assert_array_equal([p[i, j] for p in planes], sym_to_mandel(np.outer(mode, mode)))
 
 
 def full_spectrum_residual(j_hat, grid):
     """sqrt(sum over active n of |n.J_hat.n|^2) / |J_hat(0)| on the full fftn spectrum."""
-    s = (grid.mandel_nn * j_hat).sum(axis=-1)
-    num = math.sqrt(float((np.abs(s) ** 2)[grid.inv_norm4 > 0].sum()))
+    s = sum(plane * j_hat[..., a] for a, plane in enumerate(grid.mandel_nn(grid.n)))
+    num = math.sqrt(float((np.abs(s) ** 2)[grid.inv_norm4(grid.n) > 0].sum()))
     return num / float(np.linalg.norm(j_hat[0, 0]))
 
 
@@ -517,7 +533,7 @@ def potential(op, w):
 
 def preconditioner(grid, lam):
     """1 / (lam0 |n|^4) on the active modes of the half spectrum, the solver's M^-1."""
-    return grid.inv_norm4[:, : grid.n // 2 + 1] / lam
+    return grid.inv_norm4(grid.n // 2 + 1) / lam
 
 
 class TestGreenOperator:

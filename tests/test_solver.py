@@ -437,8 +437,8 @@ def recomputed_residual(moment):
     """The equilibrium residual of a returned (N, N, M) moment field, from its full fftn spectrum."""
     grid = FrequencyGrid(2, moment.shape[0])
     j_hat = np.fft.fftn(moment, axes=(0, 1))
-    s = (grid.mandel_nn * j_hat).sum(axis=-1)
-    return math.sqrt(float((np.abs(s) ** 2)[grid.inv_norm4 > 0].sum())) / float(np.linalg.norm(j_hat[0, 0]))
+    s = sum(plane * j_hat[..., a] for a, plane in enumerate(grid.mandel_nn(grid.n)))
+    return math.sqrt(float((np.abs(s) ** 2)[grid.inv_norm4(grid.n) > 0].sum())) / float(np.linalg.norm(j_hat[0, 0]))
 
 
 class TestConjugateGradients:
@@ -550,7 +550,7 @@ class TestStiffnessProduct:
 
 
 class TestAllocationBudget:
-    # tracemalloc peaks of these 20-iteration solves, in bytes: 701 776 (CG) and 701 728 (fixed point).  Nine planes
+    # tracemalloc peaks of these 20-iteration solves, in bytes: 701 890 (CG) and 701 842 (fixed point).  Nine planes
     # of C in place of six add 98 KB to either; a stored (M, N, N//2 + 1) mandel(n (x) n) in place of n1^2 and n2^2 as
     # broadcast vectors and one shear plane adds 33 KB; the contraction's products as temporaries add 4 KB.
     @pytest.mark.parametrize("strategy, budget", [("arithmetic", 737_000), ("manual", 720_000)])

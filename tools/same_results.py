@@ -93,7 +93,8 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     strategies (geometric on the chessboard, manual in spectrum and in a divergent chessboard solve that exits 2),
     homogenize's analytic anchor lines for a laminate and a chessboard, and an N = 16 file whose phase table holds
     a stiff phase that is absent from the map, so that the eigen-range, the Voigt-Reuss fractions and the
-    a-priori bound run over present phases only.
+    a-priori bound run over present phases only.  decompose-8 weighs the Nyquist rows, which hold 15 of its 64
+    modes (0.4 % at N = 512), and which weyl_decompose projects where Gamma annihilates them.
     """
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
@@ -107,7 +108,7 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     stripes = np.where(np.add.outer(np.arange(16), np.arange(16)) % 4 == 0, 2, 0)  # diagonal stripes of phase 2
     anisotropic = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
     inputs.write_micro(absent, {0: np.eye(3), 1: 1000.0 * np.eye(3), 2: anisotropic}, stripes)
-    fields = {n: inputs_dir / f"gaussian{n}.field" for n in (33, 512)}
+    fields = {n: inputs_dir / f"gaussian{n}.field" for n in (8, 33, 512)}
     for n, path in fields.items():
         inputs.gaussian_field(path, np.random.default_rng(SEED), n)
     pinned = ["--set", "reference.strategy=arithmetic", "--set", "solver.tolerance=1e-8"]
@@ -138,6 +139,7 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
         "green-8": ["green", "--y", "0.25,0.5", "--cutoff", "8"],
         "green-40": ["green", "--y", "0.25,0.5", "--cutoff", "40"],
         "generate": ["generate", *generated],
+        "decompose-8": ["decompose", str(fields[8])],
         "decompose-33": ["decompose", str(fields[33])],
         "decompose-512": ["decompose", str(fields[512])],
     }
