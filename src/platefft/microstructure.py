@@ -66,15 +66,19 @@ class CoefficientField:
     def volume_fractions(self) -> dict[int, float]:
         return dict(self._fractions)
 
-    def mandel_grid(self) -> np.ndarray:
-        """The distinct planes of the per-voxel Mandel matrices, one contiguous (6, N, N) array.
+    def mandel_grid(self) -> tuple[np.ndarray, ...]:
+        """The six distinct planes of the per-voxel Mandel matrices, each (N, N), in mandel.UPPER order.
 
-        The phases' matrices are symmetric, so plane mandel.PLANES[a, b] holds C_ab = C_ba of every voxel;
-        the planes follow mandel.UPPER, the upper triangle row by row.
+        The phases' matrices are symmetric, so plane mandel.PLANES[a, b] holds C_ab = C_ba of every voxel.  A plane
+        with one value (the same bits) in every present phase is a read-only zero-stride view of that value; the
+        planes that vary are views of one contiguous (k, N, N) array, gathered without a six-plane temporary.
         """
-        ids = np.array(sorted(self.table.phases))
-        entries = np.stack([self.table.phases[pid].mandel_matrix[UPPER] for pid in ids], axis=-1)
-        return np.take(entries, np.searchsorted(ids, self.phase_map), axis=-1)
+        ids = self.present_phases()
+        entries = np.stack([self.table.phases[pid].mandel_matrix[UPPER] for pid in ids], axis=-1)  # (6, phases)
+        bits = entries.view(np.uint64)
+        varies = (bits != bits[:, :1]).any(axis=1)
+        stored = iter(np.take(entries[varies], np.searchsorted(ids, self.phase_map), axis=-1))
+        return tuple(next(stored) if v else np.broadcast_to(e[0], self.phase_map.shape) for v, e in zip(varies, entries))
 
     def eigen_range(self) -> tuple[float, float]:
         """(mu_min, mu_max) over all voxels and all Mandel eigenvalues."""

@@ -24,7 +24,8 @@ under the geometric and manual rules, where lam0 is the user's choice of series;
 (estimate_spectral_radius) applies its operator too, and one loop holds the stop, history and overflow rules.
 An iteration costs two real FFTs and one contraction n . q_hat . n of q = C:X, X = IFFT(nn d) for the step d;
 the residual, delta (the RMS of E_k - E_{k-1}) and the energy follow from it and from HalfSpectrum.inner.
-The loop holds two (M, N, N) fields, the six distinct (N, N) planes of the symmetric C (CoefficientField.mandel_grid),
+The loop holds two (M, N, N) fields, the (N, N) planes of the symmetric C that vary over the phases
+(CoefficientField.mandel_grid; a constant plane is a view of its one value, and a zero one no term of C:X),
 one (M, N, N//2 + 1) half spectrum and three (N, N//2 + 1) vectors.  With >= 2 usable CPUs and
 N >= green._SPLIT_MIN_N, the contractions and the FFTs run on two threads, bit-identical to one core (`taskset -c 0`).
 The reports' series_factor (apriori_bound) is the paper's trace-reference estimate.
@@ -175,21 +176,22 @@ def apriori_bound(field: CoefficientField, ref: ReferenceMedium) -> float:
     return series_factor(q / ref.lambda0)
 
 
-def _stiffness_product(c: np.ndarray, x: np.ndarray, out: np.ndarray, spec: np.ndarray, lo: int, hi: int) -> None:
-    """out = C:x on the rows lo:hi of (M, N, N) fields, for the planes c of a symmetric C (CoefficientField.mandel_grid).
+def _stiffness_product(terms: list, x: np.ndarray, out: np.ndarray, spec: np.ndarray, lo: int, hi: int) -> None:
+    """out = C:x on the rows lo:hi of (M, N, N) fields, for the terms of _PotentialStep.terms.
 
     The products pass through rows lo:hi of spec's storage as real (N, N) scratch, so spec must be free, and two
-    halves of the rows may run at once.  out_a sums c_a0 x_0, c_a1 x_1 and c_a2 x_2 in that order, as
-    np.einsum("abxy,bxy->axy") does over the full (M, M, N, N) grid, with its bits: einsum starts each sum
-    from +0.0, which turns a sum of three -0.0 into +0.0, and so does the final += 0.0.
+    halves of the rows may run at once.  out_a sums its terms c_ab x_b in b order, as np.einsum("abxy,bxy->axy")
+    does over the full (M, M, N, N) grid, with its bits: a dropped zero plane's product is +-0, which leaves a
+    nonzero sum as it is, and einsum starts each sum from +0.0, which turns a sum of -0.0 into +0.0, and so
+    does the final += 0.0.
     """
     n = x.shape[-1]
     scratch = spec.reshape(-1).view(float)[lo * n : hi * n].reshape(hi - lo, n)
     x, out = x[:, lo:hi], out[:, lo:hi]
-    for a, planes in enumerate(PLANES):
-        np.multiply(c[planes[0], lo:hi], x[0], out=out[a])
-        for b in range(1, M):
-            np.multiply(c[planes[b], lo:hi], x[b], out=scratch)
+    for a, ((b, c), *rest) in enumerate(terms):
+        np.multiply(c[lo:hi], x[b], out=out[a])
+        for b, c in rest:
+            np.multiply(c[lo:hi], x[b], out=scratch)
             out[a] += scratch
     out += 0.0
 
@@ -203,9 +205,9 @@ class _PotentialStep:
     arithmetic rule it runs CG: alpha = <r, z> / <d, A d> and d = z + beta d.  CG's iterates do not depend on
     lam0, but lam0 keeps d and A d at the size of r, as the fixed point's vectors are, for coefficients near
     the ends of the float range.  One iteration is one application of A: _curvature, then _contraction.
-    Built once per solve: C is mandel_grid's six planes themselves, and the step holds M^-1 on the half spectrum's
-    columns, X, C:X and one half spectrum, whose planes hold q and z in turn and the products of C:X while it is
-    free; iterate adds the half-spectrum vectors w_hat, r and d.
+    Built once per solve: C is mandel_grid's planes themselves, as each row's terms of C:x, and the step holds
+    M^-1 on the half spectrum's columns, X, C:X and one half spectrum, whose planes hold q and z in turn and the
+    products of C:X while it is free; iterate adds the half-spectrum vectors w_hat, r and d.
 
     The loop updates r and J_hat(0) by recursion, which rounding parts from the fields' own below about
     1e-12; so once the recursive residual meets the tolerance, _settle forms the fields and their residual,
@@ -218,7 +220,10 @@ class _PotentialStep:
 
     def __init__(self, field: CoefficientField, ref: ReferenceMedium):
         n = field.n
-        self.c = field.mandel_grid()
+        c = field.mandel_grid()
+        # out_a's terms (b, C_ab) for C:x; a zero plane adds only +-0 and has none.  Every row keeps its diagonal
+        # term, as a positive definite phase has C_aa > 0.
+        self.terms = [[(b, c[p]) for b, p in enumerate(row) if c[p].any()] for row in PLANES]
         grid = FrequencyGrid(2, n)
         self.half = HalfSpectrum(grid)
         self.precondition = grid.inv_norm4(n // 2 + 1) / ref.lambda0
@@ -240,7 +245,7 @@ class _PotentialStep:
         spec's planes 1 and 2 are free afterwards.
         """
         half = self.half
-        half.halves(lambda lo, hi: _stiffness_product(self.c, self.x, self.p, self.spec, lo, hi), half.n)
+        half.halves(lambda lo, hi: _stiffness_product(self.terms, self.x, self.p, self.spec, lo, hi), half.n)
         half.forward(self.p, self.spec)
         self.q0[:] = self.spec[:, 0, 0]
         half.contract(self.spec, self.spec[0])

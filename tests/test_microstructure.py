@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platefft.mandel import PLANES, StiffTensor4
+from platefft.mandel import PLANES, UPPER, StiffTensor4
 from platefft.microstructure import (
     CoefficientField,
     MicrostructureFormatError,
@@ -23,8 +23,8 @@ def scalar_phase(mu):
 
 
 def full_grid(planes):
-    """The (N, N, M, M) grid of per-voxel Mandel matrices that mandel_grid's distinct planes stand for."""
-    return planes[PLANES].transpose(2, 3, 0, 1)
+    """The (N, N, M, M) grid of per-voxel Mandel matrices that mandel_grid's six distinct planes stand for."""
+    return np.stack(planes)[PLANES].transpose(2, 3, 0, 1)
 
 
 @st.composite
@@ -193,9 +193,44 @@ class TestMandelGrid:
     @given(random_fields())
     def test_planes_expand_to_each_voxels_matrix(self, f):
         planes = f.mandel_grid()
-        assert planes.shape == (6, f.n, f.n) and planes.flags.c_contiguous
+        assert len(planes) == 6 and all(p.shape == (f.n, f.n) for p in planes)
         want = np.array([[f.table.phases[pid].mandel_matrix for pid in row] for row in f.phase_map.tolist()])
         assert full_grid(planes).shape == want.shape and full_grid(planes).tobytes() == want.tobytes()
+        entries = np.array([f.table.phases[pid].mandel_matrix[UPPER] for pid in f.present_phases()]).T
+        self.assert_stores_exactly(planes, [len({e.tobytes() for e in row}) > 1 for row in entries])
+
+    @staticmethod
+    def assert_stores_exactly(planes, varies):
+        """The planes that vary are the rows of one contiguous (k, N, N) array; the others are zero-stride views."""
+        stored = [p for p, v in zip(planes, varies) if v]
+        for p, v in zip(planes, varies):
+            assert (p.strides == (0, 0)) != v and p.flags.writeable == v
+        if stored:
+            block = stored[0].base
+            assert block.shape == (len(stored), *planes[0].shape) and block.flags.c_contiguous
+            assert all(p.base is block for p in stored)
+
+    @pytest.mark.parametrize(
+        "phases, varies",
+        [
+            # solve-512's kind: multiples of the identity store only the diagonal planes (UPPER's 0, 3 and 5)
+            ({0: np.eye(3), 1: 10.0 * np.eye(3)}, [True, False, False, True, False, True]),
+            # C_01 = 0.5 in both phases is a constant, not a stored plane
+            ({0: [[2.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 1.0]], 1: [[4.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 2.0]]},
+             [True, False, False, False, False, True]),
+            # one value means the same bits: -0.0 and +0.0 differ
+            ({0: np.eye(3), 1: [[1.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, [False, True, False, False, False, False]),
+            # a phase in the table only (3) makes no plane vary
+            ({0: np.eye(3), 1: np.eye(3), 3: 5.0 * np.eye(3)}, [False] * 6),
+        ],
+        ids=["diagonal", "constant-coupling", "signed-zero", "absent-phase"],
+    )
+    def test_only_the_planes_that_vary_over_the_present_phases_are_stored(self, phases, varies):
+        f = CoefficientField(np.arange(16).reshape(4, 4) % 2, PhaseTable({k: StiffTensor4(v) for k, v in phases.items()}))
+        planes = f.mandel_grid()
+        self.assert_stores_exactly(planes, varies)
+        want = np.array([[f.table.phases[pid].mandel_matrix for pid in row] for row in f.phase_map.tolist()])
+        assert full_grid(planes).tobytes() == want.tobytes()
 
 
 class TestFieldValidation:

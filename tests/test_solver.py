@@ -42,8 +42,8 @@ def scalar_field_values(field):
 
 
 def full_grid(planes):
-    """The (N, N, M, M) grid of per-voxel Mandel matrices that mandel_grid's distinct planes stand for."""
-    return planes[PLANES].transpose(2, 3, 0, 1)
+    """The (N, N, M, M) grid of per-voxel Mandel matrices that mandel_grid's six distinct planes stand for."""
+    return np.stack(planes)[PLANES].transpose(2, 3, 0, 1)
 
 
 class TestSelectReference:
@@ -523,23 +523,31 @@ class TestReferenceStrategiesHighContrast:
         assert not geo.converged
 
 
+def orthotropic(d11, d12, d22, d66):
+    """Mandel matrix of an orthotropic plate: no bending-twisting coupling, so C_02 = C_12 = 0."""
+    return StiffTensor4([[d11, d12, 0.0], [d12, d22, 0.0], [0.0, 0.0, d66]])
+
+
+def coupled(rng, c01):
+    """A random positive definite Mandel matrix whose C_01 is c01."""
+    a = rng.uniform(0.1, 1.0, (3, 3))
+    mat = a @ a.T + 3.0 * np.eye(3)
+    mat[0, 1] = mat[1, 0] = c01
+    return StiffTensor4(mat)
+
+
 class TestStiffnessProduct:
-    @pytest.mark.parametrize("n", [8, 9])
-    def test_both_steps_equal_einsum_over_the_full_grid_bit_for_bit(self, n):
-        # The step of either scheme, CG and the fixed point (lam0 below the phases' diagonals), forms C:x with C's
-        # own planes.  Phases with positive entries: where x is -0.0, every product is -0.0, and einsum's sum is +0.0.
-        rng = np.random.default_rng(1200 + n)
-        phases = {}
-        for k in range(3):
-            a = rng.uniform(0.1, 1.0, (3, 3))
-            phases[k] = StiffTensor4(a @ a.T + np.eye(3))
-        f = CoefficientField(rng.integers(0, 3, (n, n)), PhaseTable(phases))
+    @staticmethod
+    def check_against_einsum(f, rng):
+        """Asserts that C:x of the step of either scheme, CG and the fixed point (lam0 below the phases' diagonals),
+        has the bits of einsum over the full grid, with +-0.0 in x; returns the step's number of terms per row."""
+        n = f.n
         x = rng.standard_normal((3, n, n))
         x[:, 0], x[:, 1] = -0.0, 0.0
         x[0, 2], x[2, 3] = -0.0, 0.0
         c = np.ascontiguousarray(full_grid(f.mandel_grid()).transpose(2, 3, 0, 1))  # (M, M, N, N)
         want = np.einsum("abxy,bxy->axy", c, x)
-        assert not np.signbit(want[:, 0]).any()
+        assert not np.signbit(want[:, :2]).any()  # einsum's sums of +-0.0 products are +0.0
         for ref in (select_reference(f, "arithmetic"), select_reference(f, "manual", 0.5)):
             step = _PotentialStep(f, ref)
             step.x[:] = x
@@ -547,13 +555,46 @@ class TestStiffnessProduct:
             step.spec.fill(np.nan)
             step._contraction()  # C:x into p
             assert step.p.tobytes() == want.tobytes()
+        return [len(row) for row in step.terms]
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_both_steps_equal_einsum_over_the_full_grid_bit_for_bit(self, n):
+        # Every plane varies.  Phases with positive entries: where x is -0.0, every product is -0.0.
+        rng = np.random.default_rng(1200 + n)
+        phases = {}
+        for k in range(3):
+            a = rng.uniform(0.1, 1.0, (3, 3))
+            phases[k] = StiffTensor4(a @ a.T + np.eye(3))
+        f = CoefficientField(rng.integers(0, 3, (n, n)), PhaseTable(phases))
+        assert self.check_against_einsum(f, rng) == [3, 3, 3]
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize(
+        "cell, terms",
+        [
+            # solve-512's kind: multiples of the identity, whose three off-diagonal planes are zero
+            (lambda n, rng: generate_inclusion(1.0 * ID, 10.0 * ID, 0.3, n), [1, 1, 1]),
+            # an orthotropic pair, one with a negative C_01: the shear-coupling planes C_02 and C_12 are zero
+            (lambda n, rng: CoefficientField(rng.integers(0, 2, (n, n)), PhaseTable(
+                {0: orthotropic(4.0, 1.0, 3.0, 2.0), 1: orthotropic(9.0, -2.0, 6.0, 5.0)})), [2, 2, 1]),
+            # C_01 = 0.7 in every phase: a constant, nonzero plane, whose terms stay
+            (lambda n, rng: CoefficientField(rng.integers(0, 3, (n, n)), PhaseTable(
+                {k: coupled(rng, 0.7) for k in range(3)})), [3, 3, 3]),
+        ],
+        ids=["diagonal", "orthotropic", "constant-plane"],
+    )
+    def test_constant_and_zero_planes_keep_the_einsums_bits(self, cell, terms, n):
+        rng = np.random.default_rng(1300 + n)
+        f = cell(n, rng)
+        assert self.check_against_einsum(f, rng) == terms
 
 
 class TestAllocationBudget:
-    # tracemalloc peaks of these 20-iteration solves, in bytes: 701 890 (CG) and 701 842 (fixed point).  Nine planes
-    # of C in place of six add 98 KB to either; a stored (M, N, N//2 + 1) mandel(n (x) n) in place of n1^2 and n2^2 as
-    # broadcast vectors and one shear plane adds 33 KB; the contraction's products as temporaries add 4 KB.
-    @pytest.mark.parametrize("strategy, budget", [("arithmetic", 737_000), ("manual", 720_000)])
+    # tracemalloc peaks of these 20-iteration solves, in bytes: 604 370 (CG) and 604 322 (fixed point).  The phases
+    # are diagonal, so C stores three planes, and its three zero planes stored as well add 98 KB to either; a stored
+    # (M, N, N//2 + 1) mandel(n (x) n) in place of n1^2 and n2^2 as broadcast vectors and one shear plane adds 33 KB;
+    # the contraction's products as temporaries add 4 KB.
+    @pytest.mark.parametrize("strategy, budget", [("arithmetic", 639_500), ("manual", 622_500)])
     def test_solve_peak_within_budget(self, strategy, budget):
         f = generate_inclusion(StiffTensor4(np.diag([1.0, 2.0, 1.5])), StiffTensor4(np.diag([10.0, 12.0, 8.0])), 0.3, 64)
         ref = select_reference(f, strategy, 7.0)

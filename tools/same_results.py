@@ -93,7 +93,9 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     strategies (geometric on the chessboard, manual in spectrum and in a divergent chessboard solve that exits 2),
     homogenize's analytic anchor lines for a laminate and a chessboard, and an N = 16 file whose phase table holds
     a stiff phase that is absent from the map, so that the eigen-range, the Voigt-Reuss fractions and the
-    a-priori bound run over present phases only.  decompose-8 weighs the Nyquist rows, which hold 15 of its 64
+    a-priori bound run over present phases only.  solve-12-overflow runs the geometric fixed point on a
+    contrast-7 inclusion until its iterates overflow (714 iterations, residual inf, exit 2): the one path where x
+    holds inf, so a product 0 * x would be nan, not +-0.  decompose-8 weighs the Nyquist rows, which hold 15 of its 64
     modes (0.4 % at N = 512), and which weyl_decompose projects where Gamma annihilates them.
     """
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -121,6 +123,8 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     fixed_point = ["--set", "reference.strategy=manual", "--set", "reference.lambda0=5.5", "--set", "solver.tolerance=1e-8"]
     divergent = ["--set", "micro.generator=chessboard", "--set", "micro.n=8", "--set", "micro.beta=3",
                  "--set", "reference.strategy=manual", "--set", "reference.lambda0=0.05", "--set", "solver.max_iterations=100"]
+    overflow = ["--set", "micro.generator=inclusion", "--set", "micro.n=12", "--set", "micro.beta=7",
+                "--set", "reference.strategy=geometric"]
     return {
         "solve-512": ["solve", "--set", f"micro.file={inclusion}", "--set", "e0=1,0,0", *pinned],
         "solve-512-fixed-point": ["solve", "--set", f"micro.file={inclusion}", "--set", "e0=1,0,0", *fixed_point],
@@ -128,6 +132,7 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
         "solve-chessboard-16": ["solve", *chessboard, "--set", "e0=0,0,1", *pinned],
         "solve-chessboard-16-geometric": ["solve", *chessboard, "--set", "e0=1,0.5,0", *geometric],
         "solve-chessboard-8-divergent": ["solve", *divergent, "--set", "e0=1,0,0"],
+        "solve-12-overflow": ["solve", *overflow, "--set", "e0=1,0,0"],
         "homogenize-c100": ["homogenize", "--set", f"micro.file={three_phase}", *pinned],
         "homogenize-laminate-16": ["homogenize", *laminate, *pinned],
         "homogenize-chessboard-16": ["homogenize", *chessboard, *pinned],
