@@ -348,12 +348,11 @@ def cmd_decompose(field_path: str, out: str) -> int:
     n = values.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, before anything is written
         pot, sol, mean = weyl_decompose(SpectralField.from_real(values))
-        mean_grid = np.array(np.broadcast_to(mean.mandel, (n, n, M)))
-        mean_field = SpectralField.from_real(mean_grid)
+        # A part's L2 product with the constant part is the product of their means; einsum sums from +0.0, not -0.0.
         inner = {
             "pot_sol": l2_inner(pot, sol),
-            "pot_mean": l2_inner(pot, mean_field),
-            "sol_mean": l2_inner(sol, mean_field),
+            "pot_mean": float(np.einsum("a,a->", pot.mean().mandel, mean.mandel)),
+            "sol_mean": float(np.einsum("a,a->", sol.mean().mandel, mean.mandel)),
         }
     # A non-finite coefficient in either part makes pot_sol non-finite, so this covers the parts too.
     if not (np.isfinite(mean.mandel).all() and np.isfinite(list(inner.values())).all()):
@@ -361,7 +360,7 @@ def cmd_decompose(field_path: str, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     write_field(os.path.join(out, "part_pot.field"), pot.to_real())
     write_field(os.path.join(out, "part_sol.field"), sol.to_real())
-    write_field(os.path.join(out, "part_mean.field"), mean_grid)
+    write_field(os.path.join(out, "part_mean.field"), np.broadcast_to(mean.mandel, (n, n, M)))
     lines = ["plate-decompose v1", f"d 2 N {n}"]
     lines += [f"inner_{k} {_fmt(v)}" for k, v in inner.items()]
     _write_text(out, "decompose_report.txt", lines, echo=True)

@@ -33,10 +33,6 @@ _SPLIT_MIN_ROWS = 2**15
 _WRITER = os.path.join(os.path.dirname(__file__), "_rowtext.py")  # the writer process runs this script
 
 
-class FieldFormatError(ValueError):
-    """Raised for malformed field-dump files."""
-
-
 def write_field(path, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
@@ -81,16 +77,16 @@ def _write_split(fh, rows: np.ndarray) -> None:
         raise OSError(f"cannot write {fh.name}: the field writer process exited with status {writer.returncode}")
 
 
-def _read_sizes(tokens: list[str], key: str, error: type[ValueError]) -> tuple[int, int]:
-    """(N, value) from `d 2 N <N> <key> <value>`, the size tokens that end both text headers; else raises error."""
+def _read_sizes(tokens: list[str], key: str) -> tuple[int, int]:
+    """(N, value) from `d 2 N <N> <key> <value>`, the size tokens that end both text headers; else ValueError."""
     if len(tokens) != 6 or tokens[0] != "d" or tokens[2] != "N" or tokens[4] != key:
-        raise error(f"malformed size header (expected 'd _ N _ {key} _')")
+        raise ValueError(f"malformed size header (expected 'd _ N _ {key} _')")
     try:
         d, n, value = int(tokens[1]), int(tokens[3]), int(tokens[5])
     except ValueError as exc:
-        raise error(f"non-integer size header entry: {exc}") from None
+        raise ValueError(f"non-integer size header entry: {exc}") from None
     if d != 2:
-        raise error(f"unsupported dimension d={d}; platefft is two-dimensional")
+        raise ValueError(f"unsupported dimension d={d}; platefft is two-dimensional")
     return n, value
 
 
@@ -100,20 +96,20 @@ def read_field(path) -> np.ndarray:
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         header = next(filter(None, map(str.split, fh)), [])
         if header[:2] != [FIELD_MAGIC, FIELD_VERSION]:
-            raise FieldFormatError(f"malformed header (expected '{FIELD_MAGIC} {FIELD_VERSION} d _ N _ m _')")
-        n, m = _read_sizes(header[2:], "m", FieldFormatError)
+            raise ValueError(f"malformed header (expected '{FIELD_MAGIC} {FIELD_VERSION} d _ N _ m _')")
+        n, m = _read_sizes(header[2:], "m")
         if m != M:
-            raise FieldFormatError(f"component count {m} does not match dimension 2 (expected {M})")
+            raise ValueError(f"component count {m} does not match dimension 2 (expected {M})")
         if n < 2:
-            raise FieldFormatError(f"header needs N >= 2 points per axis, got N={n}")
+            raise ValueError(f"header needs N >= 2 points per axis, got N={n}")
         try:
             values = np.loadtxt(fh, ndmin=2, comments=None)
         except ValueError as exc:
-            raise FieldFormatError(f"bad field entry: {exc}") from None
+            raise ValueError(f"bad field entry: {exc}") from None
     if len(values) != n * n:
-        raise FieldFormatError(f"expected N^2 = {n * n} rows, found {len(values)}")
+        raise ValueError(f"expected N^2 = {n * n} rows, found {len(values)}")
     if values.shape[1] != M:
-        raise FieldFormatError(f"rows must carry {M} reals each")
+        raise ValueError(f"rows must carry {M} reals each")
     if not np.isfinite(values).all():
-        raise FieldFormatError("non-finite field entry (nan or inf)")
+        raise ValueError("non-finite field entry (nan or inf)")
     return values.reshape(n, n, M)

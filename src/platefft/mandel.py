@@ -26,10 +26,6 @@ PLANES[UPPER] = PLANES[UPPER[::-1]] = np.arange(len(UPPER[0]))
 PLANES.flags.writeable = False
 
 
-class SingularTensorError(ValueError):
-    """Raised when a stiffness tensor has no usable inverse."""
-
-
 def sym_to_mandel(matrix: np.ndarray) -> np.ndarray:
     """Encode symmetric 2 x 2 matrices, shape (..., 2, 2), as Mandel vectors (..., M)."""
     matrix = np.asarray(matrix)
@@ -130,10 +126,10 @@ class StiffTensor4:
         return np.linalg.eigvalsh(self.mandel_matrix)
 
     def inverse(self) -> "StiffTensor4":
-        """Inverse tensor; raises SingularTensorError near singularity."""
+        """Inverse tensor; raises ValueError near singularity."""
         eig = np.abs(self.eigenvalues())
         if eig.min() <= 1e-12 * max(eig.max(), 1e-300):
-            raise SingularTensorError(
+            raise ValueError(
                 "stiffness tensor is singular (smallest |eigenvalue| below 1e-12 of largest)"
             )
         return StiffTensor4(np.linalg.inv(self.mandel_matrix))

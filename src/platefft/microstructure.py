@@ -21,10 +21,6 @@ _FRACTION_TOL = 1e-6
 MICRO_MAGIC = "plate-micro v1"
 
 
-class MicrostructureFormatError(ValueError):
-    """Raised for malformed microstructure files."""
-
-
 class PhaseTable:
     """Map from phase id to a positive definite stiffness tensor."""
 
@@ -171,14 +167,14 @@ def load_microstructure(path) -> CoefficientField:
     with open(path, "r", encoding="utf-8") as fh:
         lines = filter(None, map(str.split, fh))
         if next(lines, None) != MICRO_MAGIC.split():
-            raise MicrostructureFormatError(f"missing '{MICRO_MAGIC}' header line")
-        n, n_phases = _read_sizes(next(lines, []), "phases", MicrostructureFormatError)
+            raise ValueError(f"missing '{MICRO_MAGIC}' header line")
+        n, n_phases = _read_sizes(next(lines, []), "phases")
         if not 1 <= n_phases <= sys.maxsize:  # islice takes at most sys.maxsize rows
-            raise MicrostructureFormatError(f"need between 1 and {sys.maxsize} phases, got phases {n_phases}")
+            raise ValueError(f"need between 1 and {sys.maxsize} phases, got phases {n_phases}")
         upper = np.triu_indices(M)
         rows = np.array(list(islice(lines, n_phases)), dtype=object)
         if rows.shape != (n_phases, 2 + len(upper[0])) or (rows[:, 0] != "phase").any():
-            raise MicrostructureFormatError(
+            raise ValueError(
                 f"malformed phase rows (expected 'phase <id> <{len(upper[0])} reals>')"
             )
         map_tokens = fh.read().split()
@@ -187,18 +183,15 @@ def load_microstructure(path) -> CoefficientField:
         mats[:, upper[0], upper[1]] = mats[:, upper[1], upper[0]] = rows[:, 2:].astype(float)
         phases = {int(pid): StiffTensor4(mat) for pid, mat in zip(rows[:, 1], mats)}
     except ValueError as exc:
-        raise MicrostructureFormatError(f"bad phase row: {exc}") from None
+        raise ValueError(f"bad phase row: {exc}") from None
     if len(phases) != n_phases:
-        raise MicrostructureFormatError("duplicate or missing phase ids")
+        raise ValueError("duplicate or missing phase ids")
     try:
         flat = np.array(map_tokens, dtype=np.int64)
     except (ValueError, OverflowError) as exc:
-        raise MicrostructureFormatError(f"bad phase-map entry: {exc}") from None
+        raise ValueError(f"bad phase-map entry: {exc}") from None
     if flat.size != n * n:
-        raise MicrostructureFormatError(
+        raise ValueError(
             f"phase map has {flat.size} entries, expected N^2 = {n * n}"
         )
-    try:
-        return CoefficientField(flat.reshape(n, n), PhaseTable(phases))
-    except ValueError as exc:
-        raise MicrostructureFormatError(str(exc)) from None
+    return CoefficientField(flat.reshape(n, n), PhaseTable(phases))

@@ -345,6 +345,15 @@ class TestHomogenizeCommand:
         )
         assert code == 2
 
+    def test_singular_phase_exits_1(self, tmp_path, capsys):
+        # diag(1, 1, 1e-13) is positive definite, so the solve converges; the Reuss bound's inverse rejects it.
+        micro = tmp_path / "singular.micro"
+        micro.write_text("plate-micro v1\nd 2 N 4 phases 1\nphase 0 1 0 0 1 0 1e-13\n" + "0 0 0 0\n" * 4)
+        out = tmp_path / "run"
+        err = run_rejected(capsys, "homogenize", "--out", str(out), "--set", f"micro.file={micro}")
+        assert err == "error: stiffness tensor is singular (smallest |eigenvalue| below 1e-12 of largest)\n"
+        assert not (out / "c_hom.txt").exists()
+
 
 class TestSpectrumCommand:
     def test_homogeneous_zero_bound_and_estimate(self, tmp_path, capsys):
@@ -457,16 +466,22 @@ class TestDecomposeCommand:
         assert np.abs(pot).max() < 1e-13 and np.abs(sol).max() < 1e-13
         np.testing.assert_allclose(mean[0, 0], [1.0, 2.0, 3.0], atol=1e-14)
 
-    def test_random_field_inner_products_small(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_random_field_inner_products_small(self, tmp_path, capsys, n):
         rng = np.random.default_rng(5)
-        values = rng.standard_normal((16, 16, 3))
+        values = rng.standard_normal((n, n, 3))
         src = tmp_path / "rand.field"
         write_field(src, values)
         out = tmp_path / "run"
         assert run("decompose", str(src), "--out", str(out)) == 0
-        for line in (out / "decompose_report.txt").read_text().splitlines():
-            if line.startswith("inner_"):
-                assert abs(float(line.split()[1])) <= 1e-10
+        report = dict(line.split() for line in (out / "decompose_report.txt").read_text().splitlines()[2:])
+        for key, value in report.items():
+            assert abs(float(value)) <= 1e-10, key
+        # Both parts have a zero mean mode, so their products with the constant part print exactly 0.
+        assert report["inner_pot_mean"] == report["inner_sol_mean"] == "0"
+        mean = SpectralField.from_real(values).mean().mandel
+        written = read_field(out / "part_mean.field").reshape(-1, 3)
+        assert (written.view(np.int64) == mean.view(np.int64)).all()
         # parts reconstruct the input
         total = (
             read_field(out / "part_pot.field")

@@ -96,7 +96,9 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     a-priori bound run over present phases only.  solve-12-overflow runs the geometric fixed point on a
     contrast-7 inclusion until its iterates overflow (714 iterations, residual inf, exit 2): the one path where x
     holds inf, so a product 0 * x would be nan, not +-0.  decompose-8 weighs the Nyquist rows, which hold 15 of its 64
-    modes (0.4 % at N = 512), and which weyl_decompose projects where Gamma annihilates them.
+    modes (0.4 % at N = 512), and which weyl_decompose projects where Gamma annihilates them.  Two cases exit 1:
+    homogenize-singular-4, whose one phase converges but has no usable inverse for the Reuss bound, and
+    decompose-8-overflow, an N = 8 field near 1e307 whose L2 inner products overflow.
     """
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
@@ -110,9 +112,15 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     stripes = np.where(np.add.outer(np.arange(16), np.arange(16)) % 4 == 0, 2, 0)  # diagonal stripes of phase 2
     anisotropic = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
     inputs.write_micro(absent, {0: np.eye(3), 1: 1000.0 * np.eye(3), 2: anisotropic}, stripes)
+    singular = inputs_dir / "singular4.micro"  # positive definite, but below StiffTensor4.inverse's threshold
+    inputs.write_micro(singular, {0: np.diag([1.0, 1.0, 1e-13])}, np.zeros((4, 4), dtype=np.int64))
     fields = {n: inputs_dir / f"gaussian{n}.field" for n in (8, 33, 512)}
     for n, path in fields.items():
         inputs.gaussian_field(path, np.random.default_rng(SEED), n)
+    huge = inputs_dir / "huge8.field"  # finite entries whose L2 inner products overflow
+    with open(huge, "w", encoding="utf-8") as fh:
+        fh.write("plate-field v1 d 2 N 8 m 3\n")
+        np.savetxt(fh, np.random.default_rng(SEED).standard_normal((64, 3)) * 1e307, fmt="%.17g")
     pinned = ["--set", "reference.strategy=arithmetic", "--set", "solver.tolerance=1e-8"]
     generated = ["--set", "micro.generator=inclusion", "--set", "micro.n=33", "--set", "micro.beta=10"]
     chessboard = ["--set", "micro.generator=chessboard", "--set", "micro.n=16", "--set", "micro.beta=3"]
@@ -137,6 +145,7 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
         "homogenize-laminate-16": ["homogenize", *laminate, *pinned],
         "homogenize-chessboard-16": ["homogenize", *chessboard, *pinned],
         "homogenize-absent-phase-16": ["homogenize", "--set", f"micro.file={absent}", *pinned],
+        "homogenize-singular-4": ["homogenize", "--set", f"micro.file={singular}"],
         "spectrum-512": ["spectrum", "--set", f"micro.file={inclusion}", "--seed", str(SEED)],
         "spectrum-absent-phase-16": ["spectrum", "--set", f"micro.file={absent}", "--seed", str(SEED)],
         "spectrum-33": ["spectrum", *generated, "--seed", str(SEED)],
@@ -145,6 +154,7 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
         "green-40": ["green", "--y", "0.25,0.5", "--cutoff", "40"],
         "generate": ["generate", *generated],
         "decompose-8": ["decompose", str(fields[8])],
+        "decompose-8-overflow": ["decompose", str(huge)],
         "decompose-33": ["decompose", str(fields[33])],
         "decompose-512": ["decompose", str(fields[512])],
     }
