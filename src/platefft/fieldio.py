@@ -78,7 +78,7 @@ def _write_split(fh, rows: np.ndarray) -> None:
 
 
 def _read_sizes(tokens: list[str], key: str) -> tuple[int, int]:
-    """(N, value) from `d 2 N <N> <key> <value>`, the size tokens that end both text headers; else ValueError."""
+    """(N, value) from `d 2 N <N> <key> <value>`, the size tokens that end both headers, N >= 2; else ValueError."""
     if len(tokens) != 6 or tokens[0] != "d" or tokens[2] != "N" or tokens[4] != key:
         raise ValueError(f"malformed size header (expected 'd _ N _ {key} _')")
     try:
@@ -87,6 +87,8 @@ def _read_sizes(tokens: list[str], key: str) -> tuple[int, int]:
         raise ValueError(f"non-integer size header entry: {exc}") from None
     if d != 2:
         raise ValueError(f"unsupported dimension d={d}; platefft is two-dimensional")
+    if n < 2:
+        raise ValueError(f"header needs N >= 2 points per axis, got N={n}")
     return n, value
 
 
@@ -100,8 +102,6 @@ def read_field(path) -> np.ndarray:
         n, m = _read_sizes(header[2:], "m")
         if m != M:
             raise ValueError(f"component count {m} does not match dimension 2 (expected {M})")
-        if n < 2:
-            raise ValueError(f"header needs N >= 2 points per axis, got N={n}")
         try:
             values = np.loadtxt(fh, ndmin=2, comments=None)
         except ValueError as exc:

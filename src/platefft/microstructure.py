@@ -153,7 +153,7 @@ def generate_inclusion(
 def save_microstructure(field: CoefficientField, path) -> None:
     """Write the line-oriented text format (17 significant digits)."""
     ids = sorted(field.table.phases)
-    tri = np.stack([field.table.phases[pid].mandel_matrix[np.triu_indices(M)] for pid in ids])
+    tri = np.stack([field.table.phases[pid].mandel_matrix[UPPER] for pid in ids])
     # An object column keeps every digit of an id; float64 would round ids beyond 2**53.
     phase_rows = np.column_stack([np.array(ids, dtype=object), tri])
     with open(path, "w", encoding="utf-8") as fh:
@@ -171,16 +171,15 @@ def load_microstructure(path) -> CoefficientField:
         n, n_phases = _read_sizes(next(lines, []), "phases")
         if not 1 <= n_phases <= sys.maxsize:  # islice takes at most sys.maxsize rows
             raise ValueError(f"need between 1 and {sys.maxsize} phases, got phases {n_phases}")
-        upper = np.triu_indices(M)
         rows = np.array(list(islice(lines, n_phases)), dtype=object)
-        if rows.shape != (n_phases, 2 + len(upper[0])) or (rows[:, 0] != "phase").any():
+        if rows.shape != (n_phases, 2 + len(UPPER[0])) or (rows[:, 0] != "phase").any():
             raise ValueError(
-                f"malformed phase rows (expected 'phase <id> <{len(upper[0])} reals>')"
+                f"malformed phase rows (expected 'phase <id> <{len(UPPER[0])} reals>')"
             )
         map_tokens = fh.read().split()
     mats = np.zeros((n_phases, M, M))
     try:
-        mats[:, upper[0], upper[1]] = mats[:, upper[1], upper[0]] = rows[:, 2:].astype(float)
+        mats[:, UPPER[0], UPPER[1]] = mats[:, UPPER[1], UPPER[0]] = rows[:, 2:].astype(float)
         phases = {int(pid): StiffTensor4(mat) for pid, mat in zip(rows[:, 1], mats)}
     except ValueError as exc:
         raise ValueError(f"bad phase row: {exc}") from None

@@ -21,7 +21,9 @@ preconditioned by the reference medium: w_hat += r / (lam0 |n|^4), with r = -n.J
 Conjugate gradients with the same preconditioner reach the same solution in far fewer iterations of the
 same cost.  One step class (_PotentialStep) runs both: CG under the arithmetic rule, and the fixed point
 under the geometric and manual rules, where lam0 is the user's choice of series; the power iteration
-(estimate_spectral_radius) applies its operator too, and one loop holds the stop, history and overflow rules.
+(estimate_spectral_radius) applies its operator too.  One loop, _PotentialStep.solve, appends the history
+rows and decides every stop: the first-row overflow, the tolerance, a non-finite residual, the rounding
+floor, an underflowing <r, z> and the budget.
 An iteration costs two real FFTs and one contraction n . q_hat . n of q = C:X, X = IFFT(nn d) for the step d;
 the residual, delta (the RMS of E_k - E_{k-1}) and the energy follow from it and from HalfSpectrum.inner.
 The loop holds two (M, N, N) fields, the (N, N) planes of the symmetric C that vary over the phases
@@ -207,11 +209,11 @@ class _PotentialStep:
     the ends of the float range.  One iteration is one application of A: _curvature, then _contraction.
     Built once per solve: C is mandel_grid's planes themselves, as each row's terms of C:x, and the step holds
     M^-1 on the half spectrum's columns, X, C:X and one half spectrum, whose planes hold q and z in turn and the
-    products of C:X while it is free; iterate adds the half-spectrum vectors w_hat, r and d.
+    products of C:X while it is free; solve adds the half-spectrum vectors w_hat, r and d.
 
-    The loop updates r and J_hat(0) by recursion, which rounding parts from the fields' own below about
+    solve's one loop updates r and J_hat(0) by recursion, which rounding parts from the fields' own below about
     1e-12; so once the recursive residual meets the tolerance, _settle forms the fields and their residual,
-    and that residual is the row's.  Above the tolerance, the loop restarts from it, and ends when a restart
+    and that residual is the row's.  Above the tolerance, the loop restarts from it, and stops when a restart
     did not lower it (the rounding floor).  The solve runs on E0 scaled exactly by a power of two, to
     mu_max max|E0|^2 in [1/8, 2) for the cell's largest stiffness mu_max: <r, z> is of the size of mu_max / lam0,
     near 1 under the arithmetic rule, and underflows neither for tiny loads or a lam0 far above the stiffness
@@ -223,12 +225,11 @@ class _PotentialStep:
         c = field.mandel_grid()
         # out_a's terms (b, C_ab) for C:x; a zero plane adds only +-0 and has none.  Every row keeps its diagonal
         # term, as a positive definite phase has C_aa > 0.
-        self.terms = [[(b, c[p]) for b, p in enumerate(row) if c[p].any()] for row in PLANES]
+        self.terms = [[(b, c[p]) for b, p in enumerate(planes) if c[p].any()] for planes in PLANES]
         grid = FrequencyGrid(2, n)
         self.half = HalfSpectrum(grid)
         self.precondition = grid.inv_norm4(n // 2 + 1) / ref.lambda0
-        self.conjugate = ref.strategy == "arithmetic"
-        self.stiffness_exponent = math.frexp(ref.mu_max)[1]
+        self.ref = ref
         # two arrays, not one (2, M, N, N) block, which read 0.1-0.2 MiB more peak RSS in a solve at N = 512
         self.x, self.p = np.empty((M, n, n)), np.empty((M, n, n))  # X = IFFT(nn d) and C:X; E and C:E at the end
         self.spec = np.empty((M, n, n // 2 + 1), dtype=complex)
@@ -252,47 +253,44 @@ class _PotentialStep:
         return self.spec[0]
 
     def _settle(self) -> float:
-        """E = E0 + IFFT(nn w_hat) into x and C:E into p, with r and j0 formed from them; returns their residual.
-
-        fields_residual keeps it until the next iteration overwrites x and p.
-        """
+        """E = E0 + IFFT(nn w_hat) into x and C:E into p, with r and j0 formed from them; returns their residual."""
         self._curvature(self.w)
         self.x += self.e0[:, None, None]
         np.negative(self._contraction(), out=self.r)
         self.j0[:] = self.q0
-        self.fields_residual = self.half.equilibrium_residual(self.r, self.j0)
-        return self.fields_residual
+        return self.half.equilibrium_residual(self.r, self.j0)
 
-    def iterate(self, e0: np.ndarray, tolerance: float):
-        """Rows (residual, delta, energy) of E_1, E_2, ... from the constant field E0.
+    def solve(
+        self, e0: np.ndarray, config: SolverConfig, history: ConvergenceHistory
+    ) -> tuple[np.ndarray, np.ndarray, SymTensor2, float]:
+        """Iterate from the constant field E0; returns E and C:E as (M, N, N) grids, <C:E> and their residual.
 
-        The rows end when <d, A d> is 0 or <r, z> is below the normal range (r = 0, or a residual near 1e-155),
-        or when a restart did not lower the fields' residual.
+        Each iteration k appends its row (k, residual, delta, energy) to history, and the loop stops, in this
+        order: on a first row that is not finite, which raises ValueError; when the residual meets the tolerance;
+        when it is not finite; when a restart did not lower the fields' residual; when <d, A d> is 0 or <r, z> is
+        below the normal range (r = 0, or a residual near 1e-155); and when the budget is spent.  The fields are
+        formed after the loop, unless its last row formed them.
 
         energy is E0.<C>E0 + 2 phi / N^4, with phi = (w_hat, A w_hat)/2 - (b, w_hat) updated per step; delta is
         |alpha| RMS(X), the RMS of E_k - E_{k-1}; J_hat(0) is updated as alpha q_hat(0).
         """
-        n, half = self.half.n, self.half
-        scale = self.scale = math.frexp(float(np.abs(e0).max()))[1] + self.stiffness_exponent // 2
+        n, half, ref = self.half.n, self.half, self.ref
+        conjugate = ref.strategy == "arithmetic"
+        scale = math.frexp(float(np.abs(e0).max()))[1] + math.frexp(ref.mu_max)[1] // 2
         self.e0 = np.ldexp(e0, -scale)
         w, r, d = self.w, self.r, self.d = [np.zeros((n, n // 2 + 1), dtype=complex) for _ in range(3)]
         j0 = self.j0 = np.empty(M, dtype=complex)
         self._settle()  # r and j0 of the constant field E0, as w_hat = 0
         energy0 = float(np.einsum("a,a->", self.e0, j0.real)) / (n * n)  # E0.<C>E0
-
-        def row(residual: float, delta: float, phi: float) -> tuple[float, float, float]:
-            return residual, float(np.ldexp(delta, scale)), float(np.ldexp(energy0 + 2.0 * phi / n**4, 2 * scale))
-
         np.multiply(r, self.precondition, out=d)
         rz = half.inner(r, d)  # 0 for a homogeneous cell: d = 0 and the first step leaves w_hat = 0, E = E0
         phi, floor = 0.0, math.inf
-        while True:
-            self.fields_residual = None
+        for k in range(1, config.max_iterations + 1):
             self._curvature(d)
             size = math.sqrt(_inner(self.x, self.x) / (n * n))
             q, scratch = self._contraction(), self.spec[1]
             dq, dr = half.inner(d, q), half.inner(d, r)
-            if self.conjugate:
+            if conjugate:
                 alpha = rz / dq if dq else 0.0  # dq = 0: A d vanishes, and the step below is the last
             else:
                 alpha = 1.0
@@ -303,32 +301,39 @@ class _PotentialStep:
             j0 += alpha * self.q0
             phi += alpha * (0.5 * alpha * dq - dr)
             residual = half.equilibrium_residual(r, j0)
-            restart = residual <= tolerance
-            if restart:
+            settled = residual <= config.tolerance  # the recursive residual: form the fields, and take theirs
+            if settled:
                 residual = self._settle()
-            yield row(residual, abs(alpha) * size, phi)
-            if restart:  # the fields missed the tolerance: restart from their residual while that falls
+            delta = float(np.ldexp(abs(alpha) * size, scale))
+            energy = float(np.ldexp(energy0 + 2.0 * phi / n**4, 2 * scale))
+            history.append(k, residual, delta, energy)
+            if k == 1 and not all(map(math.isfinite, (residual, delta, energy))):
+                raise ValueError(
+                    f"the first iteration overflows: e0 {e0.tolist()} is too large, "
+                    f"or lambda0 {ref.lambda0:g} too far below the stiffness {ref.mu_max:g}"
+                )
+            if residual <= config.tolerance or not math.isfinite(residual):
+                break
+            if settled:  # the fields missed the tolerance: restart from their residual while that falls
                 if not residual < floor:
-                    return
+                    break
                 floor = residual
             z = scratch
             np.multiply(r, self.precondition, out=z)
             rz_new = half.inner(r, z)
             if not (dq and rz_new >= sys.float_info.min):  # r = 0, or <r, z> is subnormal and its ratios noise
-                return
-            if self.conjugate and not restart:
+                break
+            if conjugate and not settled:
                 d *= rz_new / rz
                 d += z
             else:
                 d[:] = z
             rz = rz_new
-
-    def solution(self) -> tuple[np.ndarray, np.ndarray, SymTensor2, float]:
-        """Curvature E = E0 + IFFT(nn w_hat) and moment C:E, as (M, N, N) grids, the mean moment <C:E> and their residual."""
-        residual = self._settle() if self.fields_residual is None else self.fields_residual
+        if not settled:
+            residual = self._settle()
         for a in (self.x, self.p):
-            np.ldexp(a, self.scale, out=a)
-        return self.x, self.p, SymTensor2(self.p.sum(axis=(1, 2)) / self.half.n**2), residual
+            np.ldexp(a, scale, out=a)
+        return self.x, self.p, SymTensor2(self.p.sum(axis=(1, 2)) / n**2), residual
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -341,11 +346,11 @@ def solve_cell(
 ) -> CellSolution:
     """Iterate from the constant field E0 until equilibrium: CG under the arithmetic rule, else the fixed point.
 
-    final_residual is the residual of the returned fields; it may differ from the last history row's when the
-    loop ends short of the tolerance.  On success it is <= tolerance; if the budget is exhausted
-    (or the iterates blow up), it is flagged non-converged with the full history.
-    A first iteration whose residual, delta or energy overflows (e0 near the float range, or lam0 so far
-    below the stiffness that the first iterate's energy leaves it) raises ValueError.
+    _PotentialStep.solve runs the loop and decides its stops.  final_residual is the residual of the returned
+    fields; it may differ from the last history row's when the loop ends short of the tolerance.  On success it
+    is <= tolerance; if the budget is exhausted (or the iterates blow up), it is flagged non-converged with the
+    full history.  A first iteration whose residual, delta or energy overflows (e0 near the float range, or lam0
+    so far below the stiffness that the energy of E_1 leaves it) raises ValueError.
     """
     if config.e0 is None:
         raise ValueError("solver config has no macroscopic curvature e0")
@@ -357,21 +362,12 @@ def solve_cell(
         zero = np.zeros((n, n, M))
         return CellSolution(zero, zero, 0, 0.0, True, history, 0.0, SymTensor2(np.zeros(M)))
 
-    step = _PotentialStep(field, ref)
     # divergent references overflow before their residual turns non-finite and ends the loop
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (residual, delta, energy) in zip(range(1, config.max_iterations + 1), step.iterate(e0, config.tolerance)):
-            history.append(k, residual, delta, energy)
-            if k == 1 and not all(map(math.isfinite, (residual, delta, energy))):
-                raise ValueError(
-                    f"the first iteration overflows: e0 {e0.tolist()} is too large, "
-                    f"or lambda0 {ref.lambda0:g} too far below the stiffness {ref.mu_max:g}"
-                )
-            if residual <= config.tolerance or not math.isfinite(residual):
-                break
-        curvature, moment, mean, residual = step.solution()
-    converged = residual <= config.tolerance
-    return CellSolution(np.moveaxis(curvature, 0, -1), np.moveaxis(moment, 0, -1), k, residual, converged, history, energy, mean)
+        curvature, moment, mean, residual = _PotentialStep(field, ref).solve(e0, config, history)
+    curvature, moment = np.moveaxis(curvature, 0, -1), np.moveaxis(moment, 0, -1)
+    k, energy = history.iterations[-1], history.energies[-1]
+    return CellSolution(curvature, moment, k, residual, residual <= config.tolerance, history, energy, mean)
 
 
 def estimate_spectral_radius(

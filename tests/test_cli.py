@@ -175,6 +175,14 @@ class TestSolveCommand:
         run_rejected(capsys, "solve", "--out", str(out), "--set", f"micro.file={micro}", "--set", "e0=1,0,0")
         assert not out.exists()
 
+    def test_negative_grid_size_in_micro_file_exits_1(self, tmp_path, capsys):
+        micro = tmp_path / "negative.micro"
+        micro.write_text("plate-micro v1\nd 2 N -2 phases 1\nphase 0 1 0 0 1 0 1\n0 0 0 0\n")
+        out = tmp_path / "run"
+        err = run_rejected(capsys, "solve", "--out", str(out), "--set", f"micro.file={micro}", "--set", "e0=1,0,0")
+        assert "got N=-2" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("stiffness", ["1e-200", "1e200"])
     def test_geometric_reference_at_the_ends_of_the_float_range(self, tmp_path, stiffness):
         # mu_min * mu_max underflows to 0 or overflows to inf here; the geometric rule still finds lambda0

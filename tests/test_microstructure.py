@@ -319,6 +319,13 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=r"unknown phase ids \[-3, 7\]$"):
             load_microstructure(path)
 
+    def test_negative_grid_size_named(self, tmp_path):
+        # N*N = 4 map entries match the header, so only the size check stands between N = -2 and a reshape
+        path = tmp_path / "negative.micro"
+        path.write_text("plate-micro v1\nd 2 N -2 phases 1\nphase 0 1 0 0 1 0 1\n0 0 0 0\n")
+        with pytest.raises(ValueError, match=r"^header needs N >= 2 points per axis, got N=-2$"):
+            load_microstructure(path)
+
     def test_malformed_size_header(self, tmp_path):
         path = tmp_path / "hdr.micro"
         path.write_text("plate-micro v1\nd 2 M 4 phases 1\n")

@@ -600,10 +600,13 @@ class TestAllocationBudget:
         ref = select_reference(f, strategy, 7.0)
         config = SolverConfig(e0=SymTensor2([1.0, 0.5, 0.25]), max_iterations=20)
         solve_cell(f, ref, config)  # first-call allocations, such as numpy's caches, stay out of the measurement
+        trace = sys.gettrace()  # a line tracer (tools/untested_lines.py) would add its frame objects to the peak
+        sys.settrace(None)
         tracemalloc.start()
         try:
             solve_cell(f, ref, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            sys.settrace(trace)
         assert peak <= budget

@@ -9,7 +9,8 @@ list through `platefft.cli.main` against the parent's `src` and against the
 working tree's `src`.  Each side runs on all usable CPUs and on one; a
 one-CPU child pins itself with os.sched_setaffinity before it imports numpy,
 so only its own process is affected.  Every case runs in a fresh process,
-one at a time.
+one at a time.  The cases cover every subcommand and every stop of the
+solver's loop (see `cases`).
 
 Three comparisons are printed, one line per artifact (the files a case
 writes, plus its stdout, stderr and exit code): parent against change on
@@ -98,7 +99,11 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     holds inf, so a product 0 * x would be nan, not +-0.  decompose-8 weighs the Nyquist rows, which hold 15 of its 64
     modes (0.4 % at N = 512), and which weyl_decompose projects where Gamma annihilates them.  Two cases exit 1:
     homogenize-singular-4, whose one phase converges but has no usable inverse for the Reuss bound, and
-    decompose-8-overflow, an N = 8 field near 1e307 whose L2 inner products overflow.
+    decompose-8-overflow, an N = 8 field near 1e307 whose L2 inner products overflow.  The solve-33-* cases reach
+    each stop of the solver's loop that the others do not, on solve-33's cell and load under CG: the rounding
+    floor (tolerance 1e-14; 68 iterations, residual 6.1e-14, exit 2), an underflowing <r, z> (tolerance 1e-300;
+    427 iterations, exit 2), the budget (max_iterations 5, exit 2), and a first iteration that overflows
+    (e0 = 1e200, exit 1).
     """
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
@@ -121,7 +126,8 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     with open(huge, "w", encoding="utf-8") as fh:
         fh.write("plate-field v1 d 2 N 8 m 3\n")
         np.savetxt(fh, np.random.default_rng(SEED).standard_normal((64, 3)) * 1e307, fmt="%.17g")
-    pinned = ["--set", "reference.strategy=arithmetic", "--set", "solver.tolerance=1e-8"]
+    arithmetic = ["--set", "reference.strategy=arithmetic"]
+    pinned = [*arithmetic, "--set", "solver.tolerance=1e-8"]
     generated = ["--set", "micro.generator=inclusion", "--set", "micro.n=33", "--set", "micro.beta=10"]
     chessboard = ["--set", "micro.generator=chessboard", "--set", "micro.n=16", "--set", "micro.beta=3"]
     laminate = ["--set", "micro.generator=laminate", "--set", "micro.n=16", "--set", "micro.beta=3",
@@ -137,6 +143,12 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
         "solve-512": ["solve", "--set", f"micro.file={inclusion}", "--set", "e0=1,0,0", *pinned],
         "solve-512-fixed-point": ["solve", "--set", f"micro.file={inclusion}", "--set", "e0=1,0,0", *fixed_point],
         "solve-33": ["solve", *generated, "--set", "e0=1,0.5,0.25", *pinned],
+        "solve-33-rounding-floor": ["solve", *generated, "--set", "e0=1,0.5,0.25", *arithmetic,
+                                    "--set", "solver.tolerance=1e-14"],
+        "solve-33-rz-underflow": ["solve", *generated, "--set", "e0=1,0.5,0.25", *arithmetic,
+                                  "--set", "solver.tolerance=1e-300"],
+        "solve-33-budget": ["solve", *generated, "--set", "e0=1,0.5,0.25", *pinned, "--set", "solver.max_iterations=5"],
+        "solve-33-e0-overflow": ["solve", *generated, "--set", "e0=1e200,0,0", *pinned],
         "solve-chessboard-16": ["solve", *chessboard, "--set", "e0=0,0,1", *pinned],
         "solve-chessboard-16-geometric": ["solve", *chessboard, "--set", "e0=1,0.5,0", *geometric],
         "solve-chessboard-8-divergent": ["solve", *divergent, "--set", "e0=1,0,0"],
