@@ -67,14 +67,17 @@ class CoefficientField:
 
         The phases' matrices are symmetric, so plane mandel.PLANES[a, b] holds C_ab = C_ba of every voxel.  A plane
         with one value (the same bits) in every present phase is a read-only zero-stride view of that value; the
-        planes that vary are views of one contiguous (k, N, N) array, gathered without a six-plane temporary.
+        planes that vary are views of one contiguous (k, N, N) array, gathered without a six-plane temporary, with
+        one row per bit pattern over the present phases, which the planes with those bits share.
         """
         ids = self.present_phases()
         entries = np.stack([self.table.phases[pid].mandel_matrix[UPPER] for pid in ids], axis=-1)  # (6, phases)
         bits = entries.view(np.uint64)
         varies = (bits != bits[:, :1]).any(axis=1)
-        stored = iter(np.take(entries[varies], np.searchsorted(ids, self.phase_map), axis=-1))
-        return tuple(next(stored) if v else np.broadcast_to(e[0], self.phase_map.shape) for v, e in zip(varies, entries))
+        distinct, rows = np.unique(bits[varies], axis=0, return_inverse=True)
+        stored = np.take(distinct.view(float), np.searchsorted(ids, self.phase_map), axis=-1)
+        rows = iter(rows.reshape(-1))
+        return tuple(stored[next(rows)] if v else np.broadcast_to(e[0], self.phase_map.shape) for v, e in zip(varies, entries))
 
     def eigen_range(self) -> tuple[float, float]:
         """(mu_min, mu_max) over all voxels and all Mandel eigenvalues."""

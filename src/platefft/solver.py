@@ -26,9 +26,10 @@ rows and decides every stop: the first-row overflow, the tolerance, a non-finite
 floor, an underflowing <r, z> and the budget.
 An iteration costs two real FFTs and one contraction n . q_hat . n of q = C:X, X = IFFT(nn d) for the step d;
 the residual, delta (the RMS of E_k - E_{k-1}) and the energy follow from it and from HalfSpectrum.inner.
-The loop holds two (M, N, N) fields, the (N, N) planes of the symmetric C that vary over the phases
-(CoefficientField.mandel_grid; a constant plane is a view of its one value, and a zero one no term of C:X),
-one (M, N, N//2 + 1) half spectrum and three (N, N//2 + 1) vectors.  With >= 2 usable CPUs and
+The loop holds one (M, N, N) field, in which C:X overwrites X, the (N, N) planes of the symmetric C that vary
+over the phases (CoefficientField.mandel_grid; planes with equal bits share one, a constant plane is a view of its
+one value, and a zero one no term of C:X), one (M, N, N//2 + 1) half spectrum, which is C:X's scratch while it is
+free, and three (N, N//2 + 1) vectors.  With >= 2 usable CPUs and
 N >= green._SPLIT_MIN_N, the contractions and the FFTs run on two threads, bit-identical to one core (`taskset -c 0`).
 The reports' series_factor (apriori_bound) is the paper's trace-reference estimate.
 """
@@ -178,24 +179,28 @@ def apriori_bound(field: CoefficientField, ref: ReferenceMedium) -> float:
     return series_factor(q / ref.lambda0)
 
 
-def _stiffness_product(terms: list, x: np.ndarray, out: np.ndarray, spec: np.ndarray, lo: int, hi: int) -> None:
-    """out = C:x on the rows lo:hi of (M, N, N) fields, for the terms of _PotentialStep.terms.
+def _stiffness_product(terms: list, x: np.ndarray, spec: np.ndarray, lo: int, hi: int) -> None:
+    """x = C:x in place on the rows lo:hi of an (M, N, N) field, for the terms of _PotentialStep.terms.
 
-    The products pass through rows lo:hi of spec's storage as real (N, N) scratch, so spec must be free, and two
-    halves of the rows may run at once.  out_a sums its terms c_ab x_b in b order, as np.einsum("abxy,bxy->axy")
-    does over the full (M, M, N, N) grid, with its bits: a dropped zero plane's product is +-0, which leaves a
-    nonzero sum as it is, and einsum starts each sum from +0.0, which turns a sum of -0.0 into +0.0, and so
-    does the final += 0.0.
+    The scratch is rows lo:hi of spec's storage read as M real (N, N) planes, so spec must be free, and two halves
+    may run at once.  Rows 1..M-1 sum in scratch planes 1..M-1, the products go to plane 0, and row 0, whose
+    first term is its diagonal, sums in x[0] after the other rows read it.  Row a sums c_ab x_b in b order, as
+    np.einsum("abxy,bxy->axy") does over the full (M, M, N, N) grid, with its bits: a dropped zero plane's
+    product is +-0, which leaves a nonzero sum as it is, and einsum starts each sum from +0.0, which turns a sum
+    of -0.0 into +0.0, and so does the final + 0.0.
     """
     n = x.shape[-1]
-    scratch = spec.reshape(-1).view(float)[lo * n : hi * n].reshape(hi - lo, n)
-    x, out = x[:, lo:hi], out[:, lo:hi]
-    for a, ((b, c), *rest) in enumerate(terms):
-        np.multiply(c[lo:hi], x[b], out=out[a])
+    scratch = spec.reshape(-1).view(float)[: M * n * n].reshape(M, n, n)[:, lo:hi]
+    x = x[:, lo:hi]
+    for a in (*range(1, M), 0):
+        (b, c), *rest = terms[a]
+        out = scratch[a] if a else x[0]
+        np.multiply(c[lo:hi], x[b], out=out)
         for b, c in rest:
-            np.multiply(c[lo:hi], x[b], out=scratch)
-            out[a] += scratch
-    out += 0.0
+            np.multiply(c[lo:hi], x[b], out=scratch[0])
+            out += scratch[0]
+    np.add(scratch[1:], 0.0, out=x[1:])
+    x[0] += 0.0
 
 
 class _PotentialStep:
@@ -208,8 +213,9 @@ class _PotentialStep:
     lam0, but lam0 keeps d and A d at the size of r, as the fixed point's vectors are, for coefficients near
     the ends of the float range.  One iteration is one application of A: _curvature, then _contraction.
     Built once per solve: C is mandel_grid's planes themselves, as each row's terms of C:x, and the step holds
-    M^-1 on the half spectrum's columns, X, C:X and one half spectrum, whose planes hold q and z in turn and the
-    products of C:X while it is free; solve adds the half-spectrum vectors w_hat, r and d.
+    M^-1 on the half spectrum's columns, one real field x, which holds X and then C:X, formed in place, and one
+    half spectrum, whose planes hold q and z in turn and the scratch of C:X while it is free; solve adds the
+    half-spectrum vectors w_hat, r and d.
 
     solve's one loop updates r and J_hat(0) by recursion, which rounding parts from the fields' own below about
     1e-12; so once the recursive residual meets the tolerance, _settle forms the fields and their residual,
@@ -230,8 +236,7 @@ class _PotentialStep:
         self.half = HalfSpectrum(grid)
         self.precondition = grid.inv_norm4(n // 2 + 1) / ref.lambda0
         self.ref = ref
-        # two arrays, not one (2, M, N, N) block, which read 0.1-0.2 MiB more peak RSS in a solve at N = 512
-        self.x, self.p = np.empty((M, n, n)), np.empty((M, n, n))  # X = IFFT(nn d) and C:X; E and C:E at the end
+        self.x = np.empty((M, n, n))  # X = IFFT(nn d), then C:X in place
         self.spec = np.empty((M, n, n // 2 + 1), dtype=complex)
         self.q0 = np.empty(M, dtype=complex)  # (C:X)^(0), which the contraction overwrites
 
@@ -241,19 +246,19 @@ class _PotentialStep:
         self.half.inverse(self.spec, self.x)
 
     def _contraction(self) -> np.ndarray:
-        """n.(C:x)^.n into spec[0], which it returns, with C:x in p and its mean mode (C:x)^(0) in q0.
+        """n.(C:x)^.n into spec[0], which it returns, with C:x in x and its mean mode (C:x)^(0) in q0.
 
         spec's planes 1 and 2 are free afterwards.
         """
         half = self.half
-        half.halves(lambda lo, hi: _stiffness_product(self.terms, self.x, self.p, self.spec, lo, hi), half.n)
-        half.forward(self.p, self.spec)
+        half.halves(lambda lo, hi: _stiffness_product(self.terms, self.x, self.spec, lo, hi), half.n)
+        half.forward(self.x, self.spec)
         self.q0[:] = self.spec[:, 0, 0]
         half.contract(self.spec, self.spec[0])
         return self.spec[0]
 
     def _settle(self) -> float:
-        """E = E0 + IFFT(nn w_hat) into x and C:E into p, with r and j0 formed from them; returns their residual."""
+        """r and j0 of E = E0 + IFFT(nn w_hat), from C:E formed in x; returns their residual."""
         self._curvature(self.w)
         self.x += self.e0[:, None, None]
         np.negative(self._contraction(), out=self.r)
@@ -268,8 +273,9 @@ class _PotentialStep:
         Each iteration k appends its row (k, residual, delta, energy) to history, and the loop stops, in this
         order: on a first row that is not finite, which raises ValueError; when the residual meets the tolerance;
         when it is not finite; when a restart did not lower the fields' residual; when <d, A d> is 0 or <r, z> is
-        below the normal range (r = 0, or a residual near 1e-155); and when the budget is spent.  The fields are
-        formed after the loop, unless its last row formed them.
+        below the normal range (r = 0, or a residual near 1e-155); and when the budget is spent.  Their residual
+        is formed after the loop, unless its last row formed it; then E is formed again in x, and C:E in a new
+        array once w_hat, r and d are released, so the end of a solve holds no more than the loop.
 
         energy is E0.<C>E0 + 2 phi / N^4, with phi = (w_hat, A w_hat)/2 - (b, w_hat) updated per step; delta is
         |alpha| RMS(X), the RMS of E_k - E_{k-1}; J_hat(0) is updated as alpha q_hat(0).
@@ -331,9 +337,14 @@ class _PotentialStep:
             rz = rz_new
         if not settled:
             residual = self._settle()
-        for a in (self.x, self.p):
+        self._curvature(w)
+        self.x += self.e0[:, None, None]
+        del w, r, d, self.w, self.r, self.d  # C:E takes their place
+        moment = self.x.copy()
+        half.halves(lambda lo, hi: _stiffness_product(self.terms, moment, self.spec, lo, hi), n)
+        for a in (self.x, moment):
             np.ldexp(a, scale, out=a)
-        return self.x, self.p, SymTensor2(self.p.sum(axis=(1, 2)) / n**2), residual
+        return self.x, moment, SymTensor2(moment.sum(axis=(1, 2)) / n**2), residual
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -376,8 +387,9 @@ def estimate_spectral_radius(
     """Power-iteration estimate of the contraction factor of the fixed point.
 
     Runs B: E -> -Gamma*(dC:E) on a seeded random zero-mean field and returns
-    the geometric mean of the last five norm ratios; returns 0.0 if the
-    iterate underflows (B vanishes on the relevant subspace).  B runs on the
+    the geometric mean of the last five norm ratios; returns 0.0 once a ratio
+    |B x| / |x| falls below 1e-13 (B all but vanishes on the relevant subspace,
+    as on a homogeneous cell), far above the underflow range.  B runs on the
     solver's step, on potentials v of X = IFFT(nn v): B v = M^-1 A v - v, with
     M = lam0 |n|^4 the preconditioner, and |B v| is the RMS of the X that the
     next application of A starts from.  The drawn field x is not a potential:

@@ -636,10 +636,9 @@ class TestGreenOperator:
             assert op.split is split
             x_hat = forward(op, x)
             step.x[:] = x
-            step.p.fill(np.nan)
             step.spec.fill(np.nan)
-            step._contraction()  # C:x into p, through spec
-            results.append([x_hat, contract(op, x_hat), potential(op, x_hat[0]), inverse(op, x_hat), step.p.copy()])
+            step._contraction()  # C:x into x, through spec
+            results.append([x_hat, contract(op, x_hat), potential(op, x_hat[0]), inverse(op, x_hat), step.x.copy()])
         for unsplit, split in zip(*results):
             assert not np.isnan(split).any() and not np.isnan(unsplit).any()
             assert split.dtype == unsplit.dtype and split.tobytes() == unsplit.tobytes()

@@ -200,36 +200,62 @@ class TestMandelGrid:
 
     @staticmethod
     def assert_stores_exactly(planes, varies):
-        """The planes that vary are the rows of one contiguous (k, N, N) array; the others are zero-stride views."""
+        """The planes that vary are rows of one contiguous (k, N, N) array, one row per distinct bit pattern, which
+        the planes with those bits share; the others are zero-stride views.  Returns k."""
         stored = [p for p, v in zip(planes, varies) if v]
         for p, v in zip(planes, varies):
             assert (p.strides == (0, 0)) != v and p.flags.writeable == v
-        if stored:
-            block = stored[0].base
-            assert block.shape == (len(stored), *planes[0].shape) and block.flags.c_contiguous
-            assert all(p.base is block for p in stored)
+        if not stored:
+            return 0
+        block = stored[0].base
+        assert block.shape == (len({p.tobytes() for p in stored}), *planes[0].shape) and block.flags.c_contiguous
+        assert all(p.base is block for p in stored)
+        assert all(np.shares_memory(p, q) == (p.tobytes() == q.tobytes()) for p in stored for q in stored)
+        return block.shape[0]
 
     @pytest.mark.parametrize(
-        "phases, varies",
+        "phases, varies, rows",
         [
-            # solve-512's kind: multiples of the identity store only the diagonal planes (UPPER's 0, 3 and 5)
-            ({0: np.eye(3), 1: 10.0 * np.eye(3)}, [True, False, False, True, False, True]),
+            # solve-512's kind: multiples of the identity vary only on the diagonal planes (UPPER's 0, 3 and 5),
+            # whose bits are equal, so one row is stored
+            ({0: np.eye(3), 1: 10.0 * np.eye(3)}, [True, False, False, True, False, True], 1),
             # C_01 = 0.5 in both phases is a constant, not a stored plane
             ({0: [[2.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 1.0]], 1: [[4.0, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 2.0]]},
-             [True, False, False, False, False, True]),
+             [True, False, False, False, False, True], 2),
             # one value means the same bits: -0.0 and +0.0 differ
-            ({0: np.eye(3), 1: [[1.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, [False, True, False, False, False, False]),
+            ({0: np.eye(3), 1: [[1.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, [False, True, False, False, False, False], 1),
             # a phase in the table only (3) makes no plane vary
-            ({0: np.eye(3), 1: np.eye(3), 3: 5.0 * np.eye(3)}, [False] * 6),
+            ({0: np.eye(3), 1: np.eye(3), 3: 5.0 * np.eye(3)}, [False] * 6, 0),
         ],
         ids=["diagonal", "constant-coupling", "signed-zero", "absent-phase"],
     )
-    def test_only_the_planes_that_vary_over_the_present_phases_are_stored(self, phases, varies):
+    def test_only_the_planes_that_vary_over_the_present_phases_are_stored(self, phases, varies, rows):
         f = CoefficientField(np.arange(16).reshape(4, 4) % 2, PhaseTable({k: StiffTensor4(v) for k, v in phases.items()}))
         planes = f.mandel_grid()
-        self.assert_stores_exactly(planes, varies)
+        assert self.assert_stores_exactly(planes, varies) == rows
         want = np.array([[f.table.phases[pid].mandel_matrix for pid in row] for row in f.phase_map.tolist()])
         assert full_grid(planes).tobytes() == want.tobytes()
+
+    def test_bit_equal_varying_planes_share_one_stored_row(self):
+        # C_00 = C_22 and C_01 = C_02 in each phase, and the two pairs vary differently: two rows for four planes
+        phases = {0: [[2.0, 0.5, 0.5], [0.5, 3.0, 0.0], [0.5, 0.0, 2.0]], 1: [[4.0, 0.25, 0.25], [0.25, 3.0, 0.0], [0.25, 0.0, 4.0]]}
+        f = CoefficientField(np.arange(16).reshape(4, 4) % 2, PhaseTable({k: StiffTensor4(v) for k, v in phases.items()}))
+        c = f.mandel_grid()
+        first, second = c[PLANES[0, 0]], c[PLANES[0, 1]]
+        assert np.shares_memory(first, c[PLANES[2, 2]]) and np.shares_memory(second, c[PLANES[0, 2]])
+        assert not np.shares_memory(first, second) and first.base.shape == (2, 4, 4)
+        assert self.assert_stores_exactly(c, [True, True, True, False, False, True]) == 2
+
+    def test_planes_that_differ_only_by_the_sign_of_zero_stay_separate_rows(self):
+        # C_01 and C_02 read (+0.0, 0.25) and (-0.0, 0.25) over the phases: equal values, not equal bits
+        phases = {0: [[1.0, 0.0, -0.0], [0.0, 1.0, 0.0], [-0.0, 0.0, 1.0]], 1: [[1.0, 0.25, 0.25], [0.25, 1.0, 0.0], [0.25, 0.0, 1.0]]}
+        f = CoefficientField(np.arange(16).reshape(4, 4) % 2, PhaseTable({k: StiffTensor4(v) for k, v in phases.items()}))
+        c = f.mandel_grid()
+        assert not np.shares_memory(c[PLANES[0, 1]], c[PLANES[0, 2]])
+        assert np.signbit(c[PLANES[0, 2]][0, 0]) and not np.signbit(c[PLANES[0, 1]][0, 0])
+        assert self.assert_stores_exactly(c, [False, True, True, False, False, False]) == 2
+        want = np.array([[f.table.phases[pid].mandel_matrix for pid in row] for row in f.phase_map.tolist()])
+        assert full_grid(c).tobytes() == want.tobytes()
 
 
 class TestFieldValidation:

@@ -30,6 +30,7 @@ from platefft.solver import (
     solve_cell,
     spectral_bound,
     _PotentialStep,
+    _stiffness_product,
 )
 
 ID = StiffTensor4.identity()
@@ -126,6 +127,15 @@ class TestEstimateSpectralRadius:
         f = generate_inclusion(2.0 * ID, 2.0 * ID, 0.25, 16)
         ref = select_reference(f, "arithmetic")
         assert estimate_spectral_radius(f, ref, 30, seed=1) == 0.0
+
+    def test_returns_zero_once_a_ratio_falls_below_1e_13(self):
+        # stiffnesses 2 and 2 (1 + eps) give a radius of about eps / 2, and no iterate comes near the underflow range
+        estimates = []
+        for eps in (1e-14, 1e-12):
+            f = generate_inclusion(2.0 * ID, 2.0 * (1.0 + eps) * ID, 0.25, 16)
+            estimates.append(estimate_spectral_radius(f, select_reference(f, "arithmetic"), 30, seed=1))
+        assert estimates[0] == 0.0
+        assert estimates[1] == pytest.approx(5e-13, rel=0.01)
 
     def test_chessboard_respects_midpoint_bound(self):
         f = generate_chessboard(1.0 * ID, 3.0 * ID, 32)
@@ -551,22 +561,52 @@ class TestStiffnessProduct:
         for ref in (select_reference(f, "arithmetic"), select_reference(f, "manual", 0.5)):
             step = _PotentialStep(f, ref)
             step.x[:] = x
-            step.p.fill(np.nan)
             step.spec.fill(np.nan)
-            step._contraction()  # C:x into p
-            assert step.p.tobytes() == want.tobytes()
+            step._contraction()  # C:x into x, through spec
+            assert step.x.tobytes() == want.tobytes()
         return [len(row) for row in step.terms]
 
-    @pytest.mark.parametrize("n", [8, 9])
-    def test_both_steps_equal_einsum_over_the_full_grid_bit_for_bit(self, n):
-        # Every plane varies.  Phases with positive entries: where x is -0.0, every product is -0.0.
-        rng = np.random.default_rng(1200 + n)
+    @staticmethod
+    def every_plane_varies(n, rng):
+        """Three phases with positive entries, so where x is -0.0 every product is -0.0."""
         phases = {}
         for k in range(3):
             a = rng.uniform(0.1, 1.0, (3, 3))
             phases[k] = StiffTensor4(a @ a.T + np.eye(3))
-        f = CoefficientField(rng.integers(0, 3, (n, n)), PhaseTable(phases))
+        return CoefficientField(rng.integers(0, 3, (n, n)), PhaseTable(phases))
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_both_steps_equal_einsum_over_the_full_grid_bit_for_bit(self, n):
+        rng = np.random.default_rng(1200 + n)
+        assert self.check_against_einsum(self.every_plane_varies(n, rng), rng) == [3, 3, 3]
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_split_rows_equal_einsum_bit_for_bit(self, n, monkeypatch):
+        # the split is forced, so a one-CPU host runs it too: each half forms C:x in place on its own rows, with
+        # its own rows of spec as scratch; odd N halves the rows unevenly
+        monkeypatch.setattr(green, "_CPUS", 2)
+        monkeypatch.setattr(green, "_SPLIT_MIN_N", n)
+        rng = np.random.default_rng(1200 + n)
+        f = self.every_plane_varies(n, rng)
+        assert _PotentialStep(f, select_reference(f, "arithmetic")).half.split
         assert self.check_against_einsum(f, rng) == [3, 3, 3]
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_each_half_writes_only_its_own_rows(self, n):
+        # the two halves run at once, so rows lo:hi of x and of spec's scratch planes are all that one may write
+        rng = np.random.default_rng(1250 + n)
+        f = self.every_plane_varies(n, rng)
+        step = _PotentialStep(f, select_reference(f, "arithmetic"))
+        x = rng.standard_normal((3, n, n))
+        for lo, hi in ((0, n // 2), (n // 2, n)):
+            step.x[:] = x
+            storage = step.spec.reshape(-1).view(float)
+            storage.fill(np.nan)  # in the imaginary parts too
+            _stiffness_product(step.terms, step.x, step.spec, lo, hi)
+            written = ~np.isnan(storage)
+            assert not written[3 * n * n :].any()
+            assert not written[: 3 * n * n].reshape(3, n, n)[:, np.r_[:lo, hi:n]].any()
+            assert step.x[:, np.r_[:lo, hi:n]].tobytes() == x[:, np.r_[:lo, hi:n]].tobytes()
 
     @pytest.mark.parametrize("n", [8, 9])
     @pytest.mark.parametrize(
@@ -590,11 +630,12 @@ class TestStiffnessProduct:
 
 
 class TestAllocationBudget:
-    # tracemalloc peaks of these 20-iteration solves, in bytes: 604 370 (CG) and 604 322 (fixed point).  The phases
-    # are diagonal, so C stores three planes, and its three zero planes stored as well add 98 KB to either; a stored
-    # (M, N, N//2 + 1) mandel(n (x) n) in place of n1^2 and n2^2 as broadcast vectors and one shear plane adds 33 KB;
-    # the contraction's products as temporaries add 4 KB.
-    @pytest.mark.parametrize("strategy, budget", [("arithmetic", 639_500), ("manual", 622_500)])
+    # tracemalloc peaks of these 20-iteration solves, in bytes: 506 629 (CG) and 506 581 (fixed point).  The phases
+    # are diagonal, so C stores its three diagonal planes, whose bits differ.  A second (M, N, N) field for C:X adds
+    # 98 KB to either, and so do the three zero planes stored as well; a stored (M, N, N//2 + 1) mandel(n (x) n) in
+    # place of n1^2 and n2^2 as broadcast vectors and one shear plane adds 33 KB; the contraction's products as
+    # temporaries add 4 KB.
+    @pytest.mark.parametrize("strategy, budget", [("arithmetic", 541_739), ("manual", 524_739)])
     def test_solve_peak_within_budget(self, strategy, budget):
         f = generate_inclusion(StiffTensor4(np.diag([1.0, 2.0, 1.5])), StiffTensor4(np.diag([10.0, 12.0, 8.0])), 0.3, 64)
         ref = select_reference(f, strategy, 7.0)

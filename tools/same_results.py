@@ -90,11 +90,13 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     """The fixed case list, as CLI arguments without --out; writes the seeded inputs into inputs_dir.
 
     It covers every subcommand, the split loop (N = 512) under CG and under the fixed point (the manual rule at
-    the arithmetic lam0 of that file, 5.5), an odd grid (N = 33), a generated chessboard, all three reference
-    strategies (geometric on the chessboard, manual in spectrum and in a divergent chessboard solve that exits 2),
-    homogenize's analytic anchor lines for a laminate and a chessboard, and an N = 16 file whose phase table holds
-    a stiff phase that is absent from the map, so that the eigen-range, the Voigt-Reuss fractions and the
-    a-priori bound run over present phases only.  solve-12-overflow runs the geometric fixed point on a
+    the arithmetic lam0 of that file, 5.5), the split loop on a cell where every plane of C varies
+    (solve-256-aniso: perfbench's three-phase generator at N = 256, whose rows of C:X sum three terms on each
+    half), an odd grid (N = 33), a generated chessboard, all three reference strategies (geometric on the
+    chessboard, manual in spectrum and in a divergent chessboard solve that exits 2), homogenize's analytic anchor
+    lines for a laminate and a chessboard, and an N = 16 file whose phase table holds a stiff phase that is absent
+    from the map, so that the eigen-range, the Voigt-Reuss fractions and the a-priori bound run over present
+    phases only.  solve-12-overflow runs the geometric fixed point on a
     contrast-7 inclusion until its iterates overflow (714 iterations, residual inf, exit 2): the one path where x
     holds inf, so a product 0 * x would be nan, not +-0.  decompose-8 weighs the Nyquist rows, which hold 15 of its 64
     modes (0.4 % at N = 512), and which weyl_decompose projects where Gamma annihilates them.  Two cases exit 1:
@@ -113,6 +115,8 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     inputs.inclusion_micro(inclusion, np.random.default_rng(SEED), 512, contrast=10.0)
     three_phase = inputs_dir / "three_phase64.micro"
     inputs.three_phase_micro(three_phase, np.random.default_rng(SEED), 64, contrast=100.0)
+    three_phase256 = inputs_dir / "three_phase256.micro"
+    inputs.three_phase_micro(three_phase256, np.random.default_rng(SEED), 256, contrast=100.0)
     absent = inputs_dir / "absent_phase16.micro"  # phase 1 is in the table only; the map holds phases 0 and 2
     stripes = np.where(np.add.outer(np.arange(16), np.arange(16)) % 4 == 0, 2, 0)  # diagonal stripes of phase 2
     anisotropic = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
@@ -142,6 +146,7 @@ def cases(inputs_dir: Path) -> dict[str, list[str]]:
     return {
         "solve-512": ["solve", "--set", f"micro.file={inclusion}", "--set", "e0=1,0,0", *pinned],
         "solve-512-fixed-point": ["solve", "--set", f"micro.file={inclusion}", "--set", "e0=1,0,0", *fixed_point],
+        "solve-256-aniso": ["solve", "--set", f"micro.file={three_phase256}", "--set", "e0=1,0.5,0.25", *pinned],
         "solve-33": ["solve", *generated, "--set", "e0=1,0.5,0.25", *pinned],
         "solve-33-rounding-floor": ["solve", *generated, "--set", "e0=1,0.5,0.25", *arithmetic,
                                     "--set", "solver.tolerance=1e-14"],
