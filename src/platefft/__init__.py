@@ -1,5 +1,16 @@
 """Fourier-space homogenization of periodic plate-bending problems."""
 
+import os
+
+# OpenBLAS reads its thread count once, when numpy loads it.  platefft calls BLAS on 3x3 operands only, so
+# unless the caller set a count, numpy loads with one thread and no idle pool; os.environ is then as it was.
+if os.environ.keys().isdisjoint(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        __import__("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .fieldio import read_field, write_field
 from .green import (
     FrequencyGrid,

@@ -2,12 +2,13 @@
 
 Header line: ``plate-field v1 d 2 N <N> m 3``, followed by N^2 lines of 3 reals (the
 Mandel components of one voxel), voxels row-major (axis 0 slowest), 17 significant
-digits.  `write_field` writes np.savetxt's bytes, formatting BLOCK_ROWS rows per
-%-format (`_rowtext`).  A constant field (every row the same bits) is formatted once
-and repeated.  A field of _SPLIT_MIN_ROWS rows or more, when this process may run on
-two or more CPUs, is formatted in two processes: a writer process (`_rowtext` run as a
-script) formats the second half of the rows while the caller formats the first.  On
-one CPU, as under ``taskset -c 0``, it formats serially; there is no setting.
+digits.  `write_field` writes np.savetxt's bytes, formatting whole grid rows, about
+BLOCK_ROWS voxels, per %-format (`_rowtext`).  A constant field (every voxel the same
+bits) is formatted once and repeated.  A field of _SPLIT_MIN_ROWS voxels or more, when
+this process may run on two or more CPUs, is formatted in two processes: a writer
+process (`_rowtext` run as a script) formats the second half of the grid rows while the
+caller formats the first.  On one CPU, as under ``taskset -c 0``, it formats serially;
+there is no setting.
 Fields are two-dimensional; the ``d 2`` entry is kept for format stability.
 """
 from __future__ import annotations
@@ -38,40 +39,45 @@ def write_field(path, values: np.ndarray) -> None:
     n = values.shape[0]
     if values.shape != (n, n, M):
         raise ValueError(f"expected shape (N, N, {M}), got {values.shape}")
-    rows = values.reshape(-1, M)
-    bits = rows.view(np.int64)  # bit patterns, so that -0.0 and 0.0 differ
+    first = values[0, 0].view(np.int64)  # bit patterns, so that -0.0 and 0.0 differ
     with open(path, "wb") as fh:
         fh.write(f"{FIELD_MAGIC} {FIELD_VERSION} d 2 N {n} m {M}\n".encode())
-        if (bits == bits[0]).all():
-            row = format_rows(rows[0].tolist())
-            for lo in range(0, len(rows), BLOCK_ROWS):
-                fh.write(row * min(BLOCK_ROWS, len(rows) - lo))
-        elif len(rows) >= _SPLIT_MIN_ROWS and _CPUS >= 2:
-            _write_split(fh, rows)
+        if all((block.view(np.int64) == first).all() for block in _blocks(values)):
+            row = format_rows(values[0, 0].tolist())
+            for lo in range(0, n * n, BLOCK_ROWS):
+                fh.write(row * min(BLOCK_ROWS, n * n - lo))
+        elif n * n >= _SPLIT_MIN_ROWS and _CPUS >= 2:
+            _write_split(fh, values)
         else:
-            _write_blocks(fh, rows)
+            _write_blocks(fh, values)
 
 
-def _write_blocks(fh, rows: np.ndarray) -> None:
-    for lo in range(0, len(rows), BLOCK_ROWS):
-        fh.write(format_rows(rows[lo : lo + BLOCK_ROWS].ravel().tolist()))
+def _blocks(values: np.ndarray):
+    """values, a stack of grid rows, as views of about BLOCK_ROWS voxels each, so that a strided field (solve's
+    views of (M, N, N) grids, decompose's real parts) is copied one block at a time, never whole."""
+    step = max(1, BLOCK_ROWS // values.shape[1])
+    return (values[lo : lo + step] for lo in range(0, len(values), step))
 
 
-def _write_split(fh, rows: np.ndarray) -> None:
-    """Write rows[:half] formatted here while a writer process formats rows[half:], then its text."""
+def _write_blocks(fh, values: np.ndarray) -> None:
+    fh.writelines(format_rows(block.ravel().tolist()) for block in _blocks(values))
+
+
+def _write_split(fh, values: np.ndarray) -> None:
+    """Write values[:half] formatted here while a writer process formats values[half:], then its text."""
     import subprocess  # lazily, as it costs the command's start-up about 8 ms
 
-    half = len(rows) // 2
+    half = len(values) // 2
     with subprocess.Popen(
         [sys.executable, "-I", "-S", _WRITER],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
     ) as writer:
         try:
-            writer.stdin.write(memoryview(np.ascontiguousarray(rows[half:])))
+            writer.stdin.writelines(memoryview(np.ascontiguousarray(block)) for block in _blocks(values[half:]))
             writer.stdin.close()
         except BrokenPipeError:
             pass  # the writer has exited; its status below says so
-        _write_blocks(fh, rows[:half])
+        _write_blocks(fh, values[:half])
         shutil.copyfileobj(writer.stdout, fh)  # streamed, so its text never sits whole in this process
     if writer.returncode:
         raise OSError(f"cannot write {fh.name}: the field writer process exited with status {writer.returncode}")

@@ -53,3 +53,13 @@ def test_higher_is_better_and_a_single_pair():
     wall = summary["metrics"]["wall_s"]
     assert wall["change_better_pairs"] == 1
     assert wall["change"] == {"values": [2.0], "median": 2.0, "q1": 2.0, "q3": 2.0}
+
+
+def test_environment_records_blas_thread_settings(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("GOTO_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "")
+    env = bench_pairs.environment()
+    assert {var: env[var] for var in bench_pairs.THREAD_VARS} == {
+        "OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": ""}
+    assert env["nproc"] >= 1 and {"numpy", "python"} <= env.keys()

@@ -511,21 +511,21 @@ class TestDecomposeCommand:
 
 class TestDeterminism:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-    def test_decompose_outputs_independent_of_cpu_count(self, tmp_path, capsys):
-        # N = 64: 12288 products per inner product, enough for BLAS to thread a dot product
-        # and so sum it in another order on two CPUs than on one
+    def test_decompose_outputs_independent_of_cpu_count(self, tmp_path):
+        # N = 64: 12288 products per inner product, enough for a threaded BLAS to split a dot product and so
+        # sum it in another order on two CPUs than on one.  platefft loads OpenBLAS with one thread unless a
+        # count is set, so the all-CPU run sets one.
         src = tmp_path / "in.field"
         write_field(src, np.random.default_rng(7).standard_normal((64, 64, 3)))
-        assert run("decompose", str(src), "--out", str(tmp_path / "all")) == 0
-        one_cpu = (
-            "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-            "from platefft.cli import main; sys.exit(main(sys.argv[1:]))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", one_cpu, "decompose", str(src), "--out", str(tmp_path / "one")],
-            capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+        cli = "import sys; from platefft.cli import main; sys.exit(main(sys.argv[1:]))"
+        one_cpu = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " + cli
+        threads = {"OPENBLAS_NUM_THREADS": str(len(os.sched_getaffinity(0)))}
+        for out, code, preset in (("all", cli, threads), ("one", one_cpu, {})):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "decompose", str(src), "--out", str(tmp_path / out)],
+                capture_output=True, env={**os.environ, **preset, "PYTHONPATH": SRC}, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
         for name in ("part_pot.field", "part_sol.field", "part_mean.field", "decompose_report.txt"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
 
@@ -551,6 +551,33 @@ class TestDeterminism:
         assert run("spectrum", "--out", str(out1), *args) == 0
         assert run("spectrum", "--out", str(out2), *args) == 0
         assert (out1 / "spectrum.txt").read_bytes() == (out2 / "spectrum.txt").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+class TestStartup:
+    """`import platefft` loads OpenBLAS with one thread unless the caller set a thread count, and leaves
+    os.environ as it found it."""
+
+    THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    PROBE = (
+        "import os; before = dict(os.environ); import platefft; "
+        "print(len(os.listdir('/proc/self/task')), os.environ == before, os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+
+    def probe(self, **preset):
+        env = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
+        proc = subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True, text=True,
+                              env={**env, **preset, "PYTHONPATH": SRC}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        threads, unchanged, value = proc.stdout.split()
+        return int(threads), unchanged == "True", value
+
+    def test_one_thread_and_no_variable_left(self):
+        assert self.probe() == (1, True, "None")
+
+    def test_caller_thread_count_is_kept(self):
+        _, unchanged, value = self.probe(OPENBLAS_NUM_THREADS="2")
+        assert unchanged and value == "2"
 
 
 class TestErrorBoundary:

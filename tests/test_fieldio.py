@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -106,8 +107,9 @@ class TestSplitWriter:
 class TestConstantField:
     @pytest.mark.parametrize("case", ["nonzero", "negative-zero", "mixed-zeros", "last-row-differs"])
     def test_body_bytes_equal_savetxt(self, tmp_path, monkeypatch, case):
-        # N = 91 gives 8281 rows: two blocks, the last one partial
+        # N = 91 gives 8281 rows: two blocks of whole grid rows, 90 rows of 91 voxels and then 1
         n = 91
+        block = BLOCK_ROWS // n * n
         values = np.empty((n, n, 3))
         values[:] = [1.0, -2.5e-300, 3e300] if case == "nonzero" else -0.0
         if case == "mixed-zeros":
@@ -125,7 +127,27 @@ class TestConstantField:
         write_field(path, values)
         assert_savetxt_body(path, values)
         constant = case in ("nonzero", "negative-zero")
-        assert formatted == ([3] if constant else [3 * BLOCK_ROWS, 3 * (n * n - BLOCK_ROWS)])
+        assert formatted == ([3] if constant else [3 * block, 3 * (n * n - block)])
+
+
+class TestWriteMemory:
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_strided_field_is_not_copied(self, tmp_path, monkeypatch, cpus):
+        # the (N, N, M) view of an (M, N, N) grid, as cmd_solve writes it; N = 256 is split on two CPUs
+        n = 256
+        values = np.moveaxis(np.random.default_rng(5).standard_normal((3, n, n)), 0, -1)
+        monkeypatch.setattr(fieldio, "_CPUS", cpus)
+        monkeypatch.setattr(fieldio, "BLOCK_ROWS", 256)  # keeps one block's text small beside the field
+        path = tmp_path / "field.field"
+        tracemalloc.start()
+        try:
+            write_field(path, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a copy of the field, or of the writer process's half of it, or a mask over it would show here
+        assert peak < values.nbytes / 8
+        assert_savetxt_body(path, values)
 
 
 class TestErrors:

@@ -7,10 +7,11 @@ Run from anywhere inside the repository.  The script exports REV (default HEAD) 
 from the working tree, one run at a time, in pairs that alternate which side goes first (the parent in even
 pairs); T is BENCHMARK.json's run_seconds, and S defaults to 7.  It reads each run's last line of standard
 output, the benchmark's JSON result, and writes BENCH_<W>.json at the repository root: both revisions, the
-environment (nproc, numpy, Python), every run's result, each end-to-end metric's per-run values, medians and
-quartiles on both sides, the pairs in which the change was better (by BENCHMARK.json's direction), and the
-failed counts.  It then prints one summary line per metric and one for the failures.  A run that exits
-non-zero or prints no JSON result counts as failed.  Standard library only.
+environment (nproc, numpy, Python, and the thread counts OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+OMP_NUM_THREADS as the runs inherit them, null where unset), every run's result, each end-to-end metric's
+per-run values, medians and quartiles on both sides, the pairs in which the change was better (by
+BENCHMARK.json's direction), and the failed counts.  It then prints one summary line per metric and one for
+the failures.  A run that exits non-zero or prints no JSON result counts as failed.  Standard library only.
 """
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
+# The thread counts that OpenBLAS reads when numpy loads; platefft loads it with one thread unless one is set.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def git(*args: str) -> str:
@@ -119,6 +122,17 @@ def summary_lines(summary: dict) -> list[str]:
     return lines
 
 
+def environment() -> dict:
+    """The CPUs, the numpy and Python versions, and each of THREAD_VARS as the runs inherit it (None where
+    unset), so that runs made under a preset thread count say so."""
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "numpy": importlib.metadata.version("numpy"),
+        "python": platform.python_version(),
+        **{var: os.environ.get(var) for var in THREAD_VARS},
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -145,11 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": seconds,
         "parent": {"rev": args.parent, "commit": git("rev-parse", args.parent)},
         "change": {"rev": "working tree", "base": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
-        "environment": {
-            "nproc": len(os.sched_getaffinity(0)),
-            "numpy": importlib.metadata.version("numpy"),
-            "python": platform.python_version(),
-        },
+        "environment": environment(),
         "runs": runs,
         **summary,
     }
